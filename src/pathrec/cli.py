@@ -149,10 +149,18 @@ def _train_options(fn):
 def train(input_path, ckpt_path, seed, val_users, test_users, stats_out,
           profile, config_path, **overrides):
     """Train the structure model and reranker with the EM loop."""
-    cfg, em_cfg = build_configs(profile, config_path, overrides)
+    try:
+        cfg, em_cfg = build_configs(profile, config_path, overrides)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     records, _ = data_mod.load_interactions_csv(input_path)
     if not records:
         raise click.ClickException("no usable interaction records")
+    num_items = len(data_mod.build_item_vocab(records)[0])
+    if em_cfg.softmax_weight != 0 and not 1 <= em_cfg.num_negatives < num_items:
+        raise click.ClickException(
+            f"--negatives {em_cfg.num_negatives} must be in [1, {num_items - 1}] "
+            f"for a corpus of {num_items} items")
     split = data_mod.make_split(records, val_users, test_users, seed)
     trained = train_model(records, split, cfg, em_cfg, seed)
     persist.save_checkpoint(ckpt_path, trained,
@@ -232,6 +240,10 @@ def retrieve(ckpt_path, user_seq, k, beam_size, method):
         raw = [int(t) for t in user_seq.split(",") if t.strip()]
     except ValueError:
         raise click.UsageError("--user-seq must be comma-separated integers")
+    if k < 1:
+        raise click.UsageError(f"k={k} must be >= 1")
+    if method == "brute-force" and k > trained.num_items:
+        raise click.UsageError(f"k={k} exceeds corpus size {trained.num_items}")
     behavior = [index[i] for i in raw if i in index]
     if method == "structure":
         hits = trained.retrieve(behavior, k, beam_size=beam_size,

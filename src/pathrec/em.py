@@ -14,7 +14,7 @@ from .core import PROB_FLOOR, OptimizerState, optimizer_step
 from .reranker import SoftmaxModel, joint_loss
 from .retrieval import ItemPathMapping, beam_search
 from .structure import (PathId, StructureConfig, StructureParams, UserContext,
-                        path_log_prob, quartic_size_penalty)
+                        path_log_prob, penalty_value, quartic_size_penalty)
 
 log = logging.getLogger(__name__)
 
@@ -273,6 +273,8 @@ def em_epoch(samples, params: StructureParams, model: SoftmaxModel,
     tensors = params.tensor_dict()
     tensors["out_emb"] = model.out_emb
     losses = []
+    # The mapping is fixed during the E-step, and so is its penalty.
+    penalty = penalty_value(mapping, cfg.penalty_alpha)
     for start in range(0, len(order), em_cfg.batch_size):
         idx = order[start:start + em_cfg.batch_size]
         grads = params.zero_grads()
@@ -281,7 +283,7 @@ def em_epoch(samples, params: StructureParams, model: SoftmaxModel,
         for i in idx:
             ctx, item = samples[i]
             l, _ = joint_loss(ctx, item, mapping, params, model,
-                              alpha=cfg.penalty_alpha,
+                              penalty=penalty,
                               num_negatives=em_cfg.num_negatives,
                               rng=rng_negatives,
                               structure_weight=em_cfg.structure_weight,

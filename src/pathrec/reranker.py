@@ -12,8 +12,11 @@ import math
 import numpy as np
 
 from .core import ShapeError, log_softmax
-from .structure import StructureParams, UserContext, multi_path_loss, penalty_value
+from .structure import StructureParams, UserContext, multi_path_loss
 from .structure import _behavior_items, user_embedding
+# em_epoch computes the penalty, but `penalty_value` stays importable from
+# here: perfbench/tracing.py wraps it in this module by name.
+from .structure import penalty_value  # noqa: F401
 
 
 class SoftmaxModel:
@@ -94,6 +97,29 @@ def sampled_softmax_loss(ctx: UserContext, positive: int, num_negatives: int,
     return weight * loss, grads
 
 
+#: Score arrays up to this size are fully sorted by `_top_k`; larger ones
+#: are first cut to a pool around the k-th score.
+FULL_SORT_MAX = 512
+
+
+def _top_k(scores: np.ndarray, k: int, ids: np.ndarray | None = None) -> list:
+    """The k best (item id, score) pairs, best first, ties toward the
+    smaller id; `ids[i]` is the item id at position i (i itself when None)."""
+    n = scores.size
+    if k < n and n > FULL_SORT_MAX:
+        # Exact top-k without a full sort: keep everything at least as good
+        # as the k-th score, then order that small subset.
+        neg = -scores
+        kth = np.partition(neg, k - 1)[k - 1]
+        pool = np.flatnonzero(neg <= kth)
+        scores = scores[pool]
+        ids = pool if ids is None else ids[pool]
+    elif ids is None:
+        ids = np.arange(n)
+    order = np.lexsort((ids, -scores))[:k]
+    return list(zip(ids[order].tolist(), scores[order].tolist()))
+
+
 def brute_force_retrieve(ctx: UserContext, model: SoftmaxModel,
                          params: StructureParams, k: int) -> list:
     """Exact top-k items by inner product; ties toward the smaller item id."""
@@ -102,46 +128,38 @@ def brute_force_retrieve(ctx: UserContext, model: SoftmaxModel,
         raise ValueError(f"k={k} must be in [1, {V}]")
     u = user_embedding(ctx, params)
     scores = model.out_emb @ u
-    if k < V:
-        # Exact top-k without a full sort: keep everything at least as good
-        # as the k-th score, then order that small subset.
-        neg = -scores
-        kth = np.partition(neg, k - 1)[k - 1]
-        pool = np.flatnonzero(neg <= kth)
-    else:
-        pool = np.arange(V)
-    order = pool[np.lexsort((pool, -scores[pool]))][:k]
-    return [(int(i), float(scores[i])) for i in order]
+    return _top_k(scores, k)
 
 
-def rerank(candidates, ctx: UserContext, model: SoftmaxModel,
+def rerank(items, ctx: UserContext, model: SoftmaxModel,
            params: StructureParams, k: int) -> list:
-    """Top-k of the candidate items by softmax score.
+    """Top-k (item, score) of the candidate item ids by softmax score.
 
-    `candidates` may be item ids or (item, score) pairs. Returns all
-    candidates when k exceeds the candidate count.
+    `items` is a 1-D array of item ids, such as `retrieve_candidates(...)
+    ["item"]`. Ties go toward the smaller item id; returns every candidate
+    when k exceeds the candidate count.
     """
-    if len(candidates) == 0:
-        raise ValueError("candidates must be non-empty")
-    items = np.array([c[0] if isinstance(c, tuple) else c for c in candidates],
-                     dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    if items.ndim != 1 or items.size == 0:
+        raise ValueError("candidates must be a non-empty 1-D array of item ids")
     u = user_embedding(ctx, params)
-    scores = model.out_emb[items] @ u
-    order = np.lexsort((items, -scores))[: min(k, len(items))]
-    return [(int(items[i]), float(scores[i])) for i in order]
+    scores = np.take(model.out_emb, items, axis=0) @ u
+    return _top_k(scores, k, items)
 
 
 def joint_loss(ctx: UserContext, item: int, mapping, params: StructureParams,
-               model: SoftmaxModel, alpha: float,
+               model: SoftmaxModel, penalty: float,
                num_negatives: int = 100, rng: np.random.Generator | None = None,
                negatives: np.ndarray | None = None,
                structure_weight: float = 1.0, softmax_weight: float = 1.0,
                freeze_softmax: bool = False, grads: dict | None = None):
     """Multi-task objective: penalized structure loss plus softmax loss.
 
-    The path-size penalty is constant in the parameters and only shifts the
-    loss value. With `freeze_softmax` the output-embedding gradient is
-    dropped (the shared encoder still trains).
+    `penalty` is the mapping's path-size penalty, `penalty_value(mapping,
+    alpha)`: it is constant in the parameters and only shifts the loss
+    value, so callers compute it once per mapping. With `freeze_softmax`
+    the output-embedding gradient is dropped (the shared encoder still
+    trains).
     """
     if grads is None:
         grads = params.zero_grads()
@@ -151,7 +169,7 @@ def joint_loss(ctx: UserContext, item: int, mapping, params: StructureParams,
         paths = mapping.assignments[item]
         l_str, _ = multi_path_loss(ctx, paths, params, grads=grads,
                                    weight=structure_weight)
-        loss += l_str + structure_weight * penalty_value(mapping, alpha)
+        loss += l_str + structure_weight * penalty
     if softmax_weight != 0.0:
         if freeze_softmax:
             out_grad_before = grads["out_emb"].copy()

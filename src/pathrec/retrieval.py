@@ -4,6 +4,7 @@ end-to-end candidate retrieval.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,21 +116,66 @@ def beam_search(ctx: UserContext, params: StructureParams,
             for path, lp in zip(prefixes.tolist(), logps.tolist())]
 
 
+#: One retrieved candidate: an item id and its best beam-path log-prob.
+CANDIDATE_DTYPE = np.dtype([("item", np.int64), ("logp", np.float64)])
+
+#: Beams holding at most this many (path, item) entries are expanded by a
+#: dict walk: below it, the array path's fixed cost of some thirty NumPy
+#: calls outweighs its per-item saving.
+DICT_WALK_MAX = 256
+
+
 def retrieve_candidates(ctx: UserContext, params: StructureParams,
                         mapping: ItemPathMapping,
-                        beam_size: int | None = None) -> list:
-    """Deduplicated (item, best path log-prob) over the beam-retrieved paths.
+                        beam_size: int | None = None) -> np.ndarray:
+    """Deduplicated items on the beam-retrieved paths, as a CANDIDATE_DTYPE
+    array with fields `item` and `logp`.
 
     An item reached via several paths is scored by its maximum path
     log-probability; sorted descending, ties toward the smaller item id.
+    `len()` is the candidate count, entries unpack as (item, logp), and
+    `.tolist()` gives those pairs.
     """
-    paths = beam_search(ctx, params, beam_size)
+    beam = beam_search(ctx, params, beam_size)
+    # The beam comes best first, so an item's best log-prob is that of the
+    # first path holding it. The walk gives up once it has seen more than
+    # DICT_WALK_MAX entries, and the array path below takes over.
+    inverted = mapping.inverted
     best: dict = {}
-    for path, lp in paths:
-        for item in mapping.inverted.get(path, ()):
-            if item not in best or lp > best[item]:
+    seen = 0
+    for path, lp in beam:
+        on_path = inverted.get(path, ())
+        seen += len(on_path)
+        if seen > DICT_WALK_MAX:
+            break
+        for item in on_path:
+            if item not in best:
                 best[item] = lp
-    return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+    else:
+        ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+        return np.fromiter(ranked, CANDIDATE_DTYPE, len(ranked))
+    lists = [inverted.get(path, ()) for path, _ in beam]
+    n = len(beam)
+    counts = np.fromiter(map(len, lists), np.int64, n)
+    # Sort (item, beam rank) keys and keep the first key of each item.
+    keys = np.fromiter(itertools.chain.from_iterable(lists), np.int64,
+                       counts.sum()) * n + np.repeat(np.arange(n), counts)
+    keys.sort()
+    items = keys // n
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = items[1:] != items[:-1]
+    items = items[first]
+    rank = keys[first] - items * n
+    # Items are ascending, so a stable sort by log-prob breaks ties toward
+    # the smaller id. Sort by each rank's tie group, the first rank with an
+    # equal log-prob: keys that small take NumPy's radix sort.
+    logps = np.fromiter((lp for _, lp in beam), np.float64, n)
+    tie = np.searchsorted(-logps, -logps).astype(np.min_scalar_type(n))
+    order = np.argsort(tie[rank], kind="stable")
+    out = np.empty(order.size, dtype=CANDIDATE_DTYPE)
+    out["item"] = items[order]
+    out["logp"] = logps[rank[order]]
+    return out
 
 
 def adaptive_beam(ctx: UserContext, params: StructureParams,
@@ -138,7 +184,8 @@ def adaptive_beam(ctx: UserContext, params: StructureParams,
     """Grow the beam geometrically until enough candidates are retrieved.
 
     Doubles B until the candidate count reaches multiplier_range[0] times
-    `target_count` or the beam covers every path. Returns (candidates, B).
+    `target_count` or the beam covers every path. Returns (candidates, B),
+    where `candidates` is the `retrieve_candidates` array at that B.
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")

@@ -38,6 +38,8 @@ class StructureConfig:
     def __post_init__(self):
         if self.num_nodes < 1 or self.depth < 1 or self.paths_per_item < 1:
             raise ValueError("num_nodes, depth and paths_per_item must be >= 1")
+        if self.paths_per_item > self.num_paths:
+            raise ValueError("paths_per_item exceeds the number of possible paths")
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         if self.beam_size > self.num_paths:

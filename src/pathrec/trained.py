@@ -40,9 +40,9 @@ class TrainedModel:
         else:
             candidates = retrieve_candidates(ctx, self.params, self.mapping,
                                              beam_size=beam_size)
-        if not candidates:
+        if len(candidates) == 0:
             return []
-        return rerank(candidates, ctx, self.model, self.params, k)
+        return rerank(candidates["item"], ctx, self.model, self.params, k)
 
     def retrieve_brute_force(self, behavior_items, k: int) -> list:
         ctx = self.context(behavior_items)

@@ -118,6 +118,51 @@ def test_retrieve_outputs_k_scored_items(checkpoint):
     assert len({e["item_id"] for e in events}) == 5
 
 
+@pytest.fixture(scope="module")
+def corpus60(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus60")
+    path = root / "c60.csv"
+    result = CliRunner().invoke(cli, ["synth", "--output", str(path),
+                                      "--clusters", "3", "--items-per-cluster", "20",
+                                      "--users", "100", "--seed", "1"])
+    assert result.exit_code == 0, result.output
+    return path
+
+
+def test_train_negatives_at_least_item_count_is_clean_error(corpus60, tmp_path):
+    # The default 100 negatives cannot be drawn from 60 items.
+    result = CliRunner().invoke(cli, ["train", "--input", str(corpus60),
+                                      "--output", str(tmp_path / "ck"),
+                                      "--epochs", "1", "--seed", "1"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "--negatives 100 must be in [1, 59]" in result.output
+    assert not (tmp_path / "ck").exists()
+
+
+def test_train_invalid_structure_is_usage_error(corpus60, tmp_path):
+    # Three distinct paths per item, but K^D = 2 paths exist.
+    result = CliRunner().invoke(cli, ["train", "--input", str(corpus60),
+                                      "--output", str(tmp_path / "ck"),
+                                      "--nodes", "2", "--depth", "1", "--paths", "3",
+                                      "--beam", "1", "--score-capacity", "3"])
+    assert result.exit_code == 2
+    assert "paths_per_item" in result.output
+
+
+def test_retrieve_brute_force_k_exceeding_corpus_is_usage_error(corpus60, tmp_path):
+    ckpt = tmp_path / "ck60"
+    result = CliRunner().invoke(cli, ["train", "--input", str(corpus60),
+                                      "--output", str(ckpt), "--epochs", "1",
+                                      "--negatives", "10", "--seed", "1"])
+    assert result.exit_code == 0, result.output
+    result = CliRunner().invoke(cli, ["retrieve", "--checkpoint", str(ckpt),
+                                      "--user-seq", "1,2,3",
+                                      "--method", "brute-force", "--k", "100"])
+    assert result.exit_code == 2
+    assert "exceeds corpus size 60" in result.output
+
+
 def test_retrieve_rejects_bad_sequence(checkpoint):
     result = CliRunner().invoke(cli, ["retrieve", "--checkpoint", str(checkpoint),
                                       "--user-seq", "1,x,3"])

@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathrec.core import log_softmax
+from pathrec import reranker
 from pathrec.reranker import (SoftmaxModel, brute_force_retrieve, joint_loss,
                               rerank, sample_negatives, sampled_softmax_loss)
 from pathrec.retrieval import ItemPathMapping
@@ -156,13 +160,30 @@ def test_rerank_is_brute_force_restricted_to_candidates():
     assert [i for i, _ in got] == expected
 
 
-def test_rerank_accepts_scored_pairs_and_short_lists():
+# -1 sends every call through the partition pool, a huge limit through
+# the full sort.
+@pytest.mark.parametrize("full_sort_max", [-1, 10**9])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+       st.integers(1, 45), st.booleans(), st.integers(0, 500))
+def test_top_k_is_sorted_prefix(full_sort_max, values, k, with_ids, seed):
+    # Small integer scores make ties common.
+    scores = np.array(values, dtype=np.float64)
+    ids = (substream(seed, "ids").permutation(1000)[:scores.size]
+           if with_ids else None)
+    labels = ids.tolist() if with_ids else list(range(scores.size))
+    want = sorted(zip(labels, scores.tolist()), key=lambda p: (-p[1], p[0]))
+    with mock.patch.object(reranker, "FULL_SORT_MAX", full_sort_max):
+        assert reranker._top_k(scores, k, ids) == want[:k]
+
+
+def test_rerank_takes_item_ids_and_short_lists():
     cfg, params, model = setup(num_items=10, seed=9)
     ctx = UserContext((0,))
-    got = rerank([(3, -1.0), (6, -2.0)], ctx, model, params, k=5)
+    got = rerank(np.array([3, 6]), ctx, model, params, k=5)
     assert sorted(i for i, _ in got) == [3, 6]
     with pytest.raises(ValueError):
-        rerank([], ctx, model, params, k=5)
+        rerank(np.array([], dtype=np.int64), ctx, model, params, k=5)
 
 
 def test_joint_loss_decomposes():
@@ -171,8 +192,8 @@ def test_joint_loss_decomposes():
     ctx = UserContext((1, 4))
     negatives = np.array([0, 1, 2])
     alpha = 0.01
-    loss, _ = joint_loss(ctx, 3, mapping, params, model, alpha,
-                         negatives=negatives)
+    loss, _ = joint_loss(ctx, 3, mapping, params, model,
+                         penalty_value(mapping, alpha), negatives=negatives)
     l_str, _ = multi_path_loss(ctx, mapping.assignments[3], params)
     l_sm, _ = sampled_softmax_loss(ctx, 3, 3, model, params,
                                    negatives=negatives)

@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathrec import retrieval
 from pathrec.retrieval import (ItemPathMapping, adaptive_beam, beam_search,
                                retrieve_candidates)
 from pathrec.seeding import substream
@@ -151,7 +153,42 @@ def test_retrieve_determinism():
     ctx = UserContext((1, 2, 3))
     a = retrieve_candidates(ctx, params, mapping, beam_size=4)
     b = retrieve_candidates(ctx, params, mapping, beam_size=4)
-    assert a == b
+    assert a.tolist() == b.tolist()
+
+
+def dict_walk_candidates(ctx, params, mapping, beam_size):
+    """Reference expansion: one dict entry per item, best path log-prob
+    kept, sorted by (-log-prob, item)."""
+    best: dict = {}
+    for path, lp in beam_search(ctx, params, beam_size):
+        for item in mapping.inverted.get(path, ()):
+            if item not in best or lp > best[item]:
+                best[item] = lp
+    return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+# -1 sends every beam down the array path, a huge limit down the dict walk.
+@pytest.mark.parametrize("walk_max", [-1, 10**9])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 40), st.integers(1, 64), st.booleans(),
+       st.integers(0, 500))
+def test_retrieve_candidates_matches_dict_walk(walk_max, K, D, J, num_items,
+                                               B, tied, seed):
+    J = min(J, K**D)
+    cfg = make_cfg(K=K, D=D, J=J, beam_size=1)
+    # Zero parameters make every path tie; random ones rarely do.
+    params = (StructureParams.init_zero(cfg, num_items) if tied
+              else random_params(cfg, num_items=num_items, seed=seed))
+    mapping = ItemPathMapping.random_init(cfg, num_items, substream(seed, "mapping"))
+    ctx = UserContext((seed % num_items,))
+    B = min(B, K**D)
+    with mock.patch.object(retrieval, "DICT_WALK_MAX", walk_max):
+        got = retrieve_candidates(ctx, params, mapping, beam_size=B)
+    want = dict_walk_candidates(ctx, params, mapping, B)
+    assert got.tolist() == want
+    assert len(got) == len(want)
+    assert [(int(item), float(lp)) for item, lp in got] == want
 
 
 def test_adaptive_beam_small_corpus_returns_everything():

@@ -39,6 +39,9 @@ def test_config_validation():
         make_cfg(J=3, score_capacity=2)     # S < J
     with pytest.raises(ValueError):
         make_cfg(decay_eta=0.0)
+    with pytest.raises(ValueError):     # more paths per item than K^D
+        StructureConfig(num_nodes=2, depth=1, paths_per_item=3, beam_size=1,
+                        score_capacity=3, penalty_alpha=0.0)
 
 
 def test_user_embedding_empty_is_zero():
