@@ -45,15 +45,30 @@ def emit(record: dict) -> None:
 
 
 def build_configs(profile, config_path, overrides) -> tuple:
-    """Profile -> config file -> CLI flags, later layers win."""
+    """Profile -> config file -> CLI flags, later layers win.
+
+    Raises ValueError for a config file that is not a JSON object of
+    "structure" and "training" objects with known keys.
+    """
     s_args = dict(STRUCTURE_DEFAULTS)
     t_args = {}
     if profile:
         s_args.update(PROFILES[profile])
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
-        s_args.update(loaded.get("structure", {}))
-        t_args.update(loaded.get("training", {}))
+        sections = {"structure": (s_args, StructureConfig),
+                    "training": (t_args, EmConfig)}
+        if not isinstance(loaded, dict) or not loaded.keys() <= sections.keys():
+            raise ValueError(f"{config_path}: want a JSON object with only "
+                             f"'structure' and 'training' sections")
+        for name, values in loaded.items():
+            args, cls = sections[name]
+            if not isinstance(values, dict):
+                raise ValueError(f"{config_path}: section {name!r} must be a JSON object")
+            unknown = values.keys() - {f.name for f in dataclasses.fields(cls)}
+            if unknown:
+                raise ValueError(f"{config_path}: unknown {name} keys {sorted(unknown)}")
+            args.update(values)
     for key, value in overrides.items():
         if value is None:
             continue
@@ -115,7 +130,8 @@ def synth(output_path, labels_path, clusters, items_per_cluster, users,
 def _train_options(fn):
     opts = [
         click.option("--profile", type=click.Choice(sorted(PROFILES))),
-        click.option("--config", "config_path", type=click.Path(exists=True)),
+        click.option("--config", "config_path",
+                     type=click.Path(exists=True, dir_okay=False)),
         click.option("--nodes", "num_nodes", type=int),
         click.option("--depth", type=int),
         click.option("--paths", "paths_per_item", type=int),
@@ -151,7 +167,7 @@ def train(input_path, ckpt_path, seed, val_users, test_users, stats_out,
     """Train the structure model and reranker with the EM loop."""
     try:
         cfg, em_cfg = build_configs(profile, config_path, overrides)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:     # TypeError: a mistyped value
         raise click.UsageError(str(exc))
     records, _ = data_mod.load_interactions_csv(input_path)
     if not records:

@@ -41,10 +41,6 @@ class AffineLayer:
             )
 
     @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
     def in_dim(self) -> int:
         return self.weight.shape[1]
 

@@ -13,8 +13,8 @@ import numpy as np
 from .core import PROB_FLOOR, OptimizerState, optimizer_step
 from .reranker import SoftmaxModel, joint_loss
 from .retrieval import ItemPathMapping, beam_search
-from .structure import (PathId, StructureConfig, StructureParams, UserContext,
-                        path_log_prob, penalty_value, quartic_size_penalty)
+from .structure import (PathId, StructureParams, path_log_prob, penalty_value,
+                        quartic_size_penalty)
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +40,8 @@ class EmConfig:
             raise ValueError("cd_iterations must be >= 1")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad epochs/batch_size")
+        # Checked here too so that the CLI rejects them before training.
+        OptimizerState(self.learning_rate, kind=self.optimizer)
 
 
 class ScoreTable:
@@ -59,12 +61,6 @@ class ScoreTable:
 
     def count(self, item: int) -> float:
         return self.counts.get(item, 0.0)
-
-    def merge_shard(self, other: "ScoreTable", eta: float) -> None:
-        """Fold another shard in via the same streaming update rule."""
-        for item, entries in other.scores.items():
-            streaming_score_update(self, item, sorted(entries.items()), eta)
-            self.counts[item] = self.counts.get(item, 0.0) + other.counts.get(item, 0.0)
 
 
 def streaming_score_update(table: ScoreTable, item: int, new_scores, eta: float) -> None:
@@ -288,12 +284,12 @@ def em_epoch(samples, params: StructureParams, model: SoftmaxModel,
                               rng=rng_negatives,
                               structure_weight=em_cfg.structure_weight,
                               softmax_weight=em_cfg.softmax_weight,
-                              freeze_softmax=freeze, grads=grads)
+                              grads=grads)
             batch_loss += l
         n = len(idx)
         for name in grads:
             grads[name] /= n
-        if freeze:
+        if freeze:      # the shared encoder still trains
             del grads["out_emb"]
         optimizer_step(tensors, grads, opt_state)
         losses.append(batch_loss / n)

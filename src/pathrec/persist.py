@@ -156,11 +156,25 @@ def save_checkpoint(directory, trained: TrainedModel,
 
 
 def load_checkpoint(directory) -> TrainedModel:
+    """Read a checkpoint; a damaged or incomplete one raises CorruptionError."""
     root = Path(directory)
-    manifest = json.loads((root / "manifest.json").read_text())
+    try:
+        manifest = json.loads((root / "manifest.json").read_text())
+    except ValueError as exc:
+        raise CorruptionError(f"manifest.json: not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise CorruptionError("manifest.json: not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise MigrationError(
             f"checkpoint version {manifest.get('format_version')} != {FORMAT_VERSION}")
+    try:
+        return _load_verified(root, manifest)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptionError(
+            f"manifest.json: missing or malformed entry ({exc!r})") from exc
+
+
+def _load_verified(root: Path, manifest: dict) -> TrainedModel:
     for meta in list(manifest["tensors"].values()) + list(manifest["files"].values()):
         if _sha256(root / meta["file"]) != meta["sha256"]:
             raise CorruptionError(f"{meta['file']}: sha256 mismatch")

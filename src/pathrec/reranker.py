@@ -36,12 +36,6 @@ class SoftmaxModel:
     def num_items(self) -> int:
         return self.out_emb.shape[0]
 
-    def tensor_dict(self) -> dict:
-        return {"out_emb": self.out_emb}
-
-    def copy(self) -> "SoftmaxModel":
-        return SoftmaxModel(self.out_emb.copy())
-
 
 def sample_negatives(num_items: int, positive: int, count: int,
                      rng: np.random.Generator) -> np.ndarray:
@@ -152,14 +146,12 @@ def joint_loss(ctx: UserContext, item: int, mapping, params: StructureParams,
                num_negatives: int = 100, rng: np.random.Generator | None = None,
                negatives: np.ndarray | None = None,
                structure_weight: float = 1.0, softmax_weight: float = 1.0,
-               freeze_softmax: bool = False, grads: dict | None = None):
+               grads: dict | None = None):
     """Multi-task objective: penalized structure loss plus softmax loss.
 
     `penalty` is the mapping's path-size penalty, `penalty_value(mapping,
     alpha)`: it is constant in the parameters and only shifts the loss
-    value, so callers compute it once per mapping. With `freeze_softmax`
-    the output-embedding gradient is dropped (the shared encoder still
-    trains).
+    value, so callers compute it once per mapping.
     """
     if grads is None:
         grads = params.zero_grads()
@@ -171,12 +163,8 @@ def joint_loss(ctx: UserContext, item: int, mapping, params: StructureParams,
                                    weight=structure_weight)
         loss += l_str + structure_weight * penalty
     if softmax_weight != 0.0:
-        if freeze_softmax:
-            out_grad_before = grads["out_emb"].copy()
         l_sm, _ = sampled_softmax_loss(ctx, item, num_negatives, model, params,
                                        rng=rng, negatives=negatives,
                                        grads=grads, weight=softmax_weight)
         loss += l_sm
-        if freeze_softmax:
-            grads["out_emb"] = out_grad_before
     return loss, grads

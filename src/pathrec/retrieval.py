@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structure import PathId, StructureConfig, StructureParams, UserContext
-from .structure import batched_layer_log_probs, user_embedding, validate_path
+from .structure import StructureConfig, StructureParams, UserContext
+from .structure import batched_layer_log_probs, user_embedding
 
 
 @dataclass
@@ -27,10 +27,13 @@ class ItemPathMapping:
 
     @classmethod
     def from_assignments(cls, assignments) -> "ItemPathMapping":
-        assignments = [tuple(tuple(int(c) for c in p) for p in paths)
-                       for paths in assignments]
-        mapping = cls(assignments)
-        mapping.rebuild()
+        """The mapping with its path sizes and inverted index built."""
+        mapping = cls([tuple(tuple(int(c) for c in p) for p in paths)
+                       for paths in assignments])
+        for item, paths in enumerate(mapping.assignments):
+            for path in paths:
+                mapping.path_sizes[path] = mapping.path_sizes.get(path, 0) + 1
+                mapping.inverted.setdefault(path, []).append(item)
         return mapping
 
     @classmethod
@@ -47,31 +50,9 @@ class ItemPathMapping:
             assignments.append(tuple(sorted(chosen)))
         return cls.from_assignments(assignments)
 
-    def rebuild(self) -> None:
-        """Recompute sizes and the inverted index from the assignments."""
-        self.path_sizes = {}
-        self.inverted = {}
-        for item, paths in enumerate(self.assignments):
-            for path in paths:
-                self.path_sizes[path] = self.path_sizes.get(path, 0) + 1
-                self.inverted.setdefault(path, []).append(item)
-
     @property
     def num_items(self) -> int:
         return len(self.assignments)
-
-    def validate(self, cfg: StructureConfig | None = None) -> None:
-        if cfg is not None:
-            for paths in self.assignments:
-                for p in paths:
-                    validate_path(p, cfg)
-        total = sum(self.path_sizes.values())
-        expected = sum(len(paths) for paths in self.assignments)
-        if total != expected:
-            raise ValueError(f"path size total {total} != assignment total {expected}")
-        rebuilt = ItemPathMapping.from_assignments(self.assignments)
-        if rebuilt.path_sizes != self.path_sizes or rebuilt.inverted != self.inverted:
-            raise ValueError("inverted index inconsistent with assignments")
 
 
 def beam_search(ctx: UserContext, params: StructureParams,
@@ -180,17 +161,17 @@ def retrieve_candidates(ctx: UserContext, params: StructureParams,
 
 def adaptive_beam(ctx: UserContext, params: StructureParams,
                   mapping: ItemPathMapping, target_count: int,
-                  multiplier_range: tuple = (5, 10)) -> tuple:
+                  multiplier: int = 5) -> tuple:
     """Grow the beam geometrically until enough candidates are retrieved.
 
-    Doubles B until the candidate count reaches multiplier_range[0] times
+    Doubles B until the candidate count reaches `multiplier` times
     `target_count` or the beam covers every path. Returns (candidates, B),
     where `candidates` is the `retrieve_candidates` array at that B.
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
     cfg = params.cfg
-    want = multiplier_range[0] * target_count
+    want = multiplier * target_count
     B = 1
     while True:
         candidates = retrieve_candidates(ctx, params, mapping, beam_size=B)

@@ -89,8 +89,7 @@ def validate_path(path, cfg: StructureConfig) -> PathId:
 class StructureParams:
     """Item embeddings, per-layer node embeddings and per-layer MLPs.
 
-    Single-writer / multi-reader: the trainer mutates arrays in place,
-    readers work on snapshots (`copy()`).
+    The trainer mutates the arrays in place.
     """
 
     def __init__(self, cfg: StructureConfig, num_items: int,
@@ -138,12 +137,6 @@ class StructureParams:
 
     def param_count(self) -> int:
         return sum(arr.size for arr in self.tensor_dict().values())
-
-    def copy(self) -> "StructureParams":
-        mlps = [(AffineLayer(h.weight.copy(), h.bias.copy()),
-                 AffineLayer(t.weight.copy(), t.bias.copy())) for h, t in self.mlps]
-        return StructureParams(self.cfg, self.num_items,
-                               self.item_emb.copy(), self.node_emb.copy(), mlps)
 
 
 def user_embedding(ctx: UserContext, params: StructureParams) -> np.ndarray:
@@ -198,11 +191,11 @@ def path_log_prob(ctx: UserContext, path, params: StructureParams) -> float:
     return total
 
 
-def batched_layer_log_probs(u: np.ndarray, prefixes: np.ndarray,
-                            params: StructureParams) -> np.ndarray:
-    """Log distributions over layer d nodes for n prefixes of length d-1.
+def _layer_forward(u: np.ndarray, prefixes: np.ndarray, params: StructureParams):
+    """Layer d = prefixes.shape[1] + 1 over n prefix rows of shape (n, d-1).
 
-    `prefixes` has shape (n, d-1); returns (n, K).
+    Returns the input rows (n, E*d), the hidden pre-activations (n, H) and
+    the log distributions over the layer's K nodes (n, K).
     """
     n, dm1 = prefixes.shape
     E = u.shape[0]
@@ -211,8 +204,17 @@ def batched_layer_log_probs(u: np.ndarray, prefixes: np.ndarray,
     for j in range(dm1):
         x[:, E * (j + 1):E * (j + 2)] = params.node_emb[j, prefixes[:, j]]
     hid, top = params.mlps[dm1]
-    h = relu(affine_forward(hid, x))
-    return log_softmax(affine_forward(top, h))
+    h_pre = affine_forward(hid, x)
+    return x, h_pre, log_softmax(affine_forward(top, relu(h_pre)))
+
+
+def batched_layer_log_probs(u: np.ndarray, prefixes: np.ndarray,
+                            params: StructureParams) -> np.ndarray:
+    """Log distributions over layer d nodes for n prefixes of length d-1.
+
+    `prefixes` has shape (n, d-1); returns (n, K).
+    """
+    return _layer_forward(u, prefixes, params)[2]
 
 
 def multi_path_loss(ctx: UserContext, paths, params: StructureParams,
@@ -223,53 +225,45 @@ def multi_path_loss(ctx: UserContext, paths, params: StructureParams,
     scaled by `weight`. Duplicate paths are collapsed before the sum.
     """
     cfg = params.cfg
-    uniq = list(dict.fromkeys(validate_path(p, cfg) for p in paths))
+    uniq = np.array(list(dict.fromkeys(validate_path(p, cfg) for p in paths)),
+                    dtype=np.int64)                      # (n, D)
+    n = uniq.shape[0]
+    rows = np.arange(n)
     u = user_embedding(ctx, params)
     items = _behavior_items(ctx)
 
-    # Forward: per path, per layer caches for backprop.
-    caches = []   # per path: list of (x_in, h_pre, probs)
-    logps = np.empty(len(uniq))
-    for j, path in enumerate(uniq):
-        layers = []
-        total = 0.0
-        for d in range(cfg.depth):
-            x_in = layer_input(u, path[:d], params)
-            hid, top = params.mlps[d]
-            h_pre = affine_forward(hid, x_in)
-            z = affine_forward(top, relu(h_pre))
-            logq = log_softmax(z)
-            total += float(logq[path[d]])
-            layers.append((x_in, h_pre, np.exp(logq)))
-        caches.append(layers)
-        logps[j] = total
+    # Forward: each layer runs once over all n paths' prefixes.
+    caches = []   # per layer: (x, h_pre, log_probs), one row per path
+    logps = np.zeros(n)
+    for d in range(cfg.depth):
+        x, h_pre, logq = _layer_forward(u, uniq[:, :d], params)
+        logps += logq[rows, uniq[:, d]]
+        caches.append((x, h_pre, logq))
 
     m = np.max(logps)
     lse = m + math.log(np.sum(np.exp(logps - m)))
     loss = -lse
-    branch_w = np.exp(logps - lse)      # softmax over path log-probs
+    branch_w = np.exp(logps - lse) * weight     # softmax over path log-probs
 
     if grads is None:
         grads = params.zero_grads()
     E = cfg.emb_dim
     du = np.zeros(E)
-    for j, path in enumerate(uniq):
-        wj = branch_w[j] * weight
-        for d in range(cfg.depth):
-            x_in, h_pre, probs = caches[j][d]
-            dz = wj * probs
-            dz[path[d]] -= wj
-            hid, top = params.mlps[d]
-            a = relu(h_pre)
-            grads[f"mlp{d}_w2"] += np.outer(dz, a)
-            grads[f"mlp{d}_b2"] += dz
-            dh = (top.weight.T @ dz) * relu_grad(h_pre)
-            grads[f"mlp{d}_w1"] += np.outer(dh, x_in)
-            grads[f"mlp{d}_b1"] += dh
-            dx = hid.weight.T @ dh
-            du += dx[:E]
-            for k, c in enumerate(path[:d]):
-                grads["node_emb"][k, c] += dx[E * (k + 1):E * (k + 2)]
+    for d, (x, h_pre, logq) in enumerate(caches):
+        dz = branch_w[:, None] * np.exp(logq)
+        dz[rows, uniq[:, d]] -= branch_w
+        hid, top = params.mlps[d]
+        grads[f"mlp{d}_w2"] += dz.T @ relu(h_pre)
+        grads[f"mlp{d}_b2"] += dz.sum(axis=0)
+        dh = (dz @ top.weight) * relu_grad(h_pre)
+        grads[f"mlp{d}_w1"] += dh.T @ x
+        grads[f"mlp{d}_b1"] += dh.sum(axis=0)
+        dx = dh @ hid.weight
+        du += dx[:, :E].sum(axis=0)
+        # Paths sharing a prefix node add into the same row.
+        for k in range(d):
+            np.add.at(grads["node_emb"][k], uniq[:, k],
+                      dx[:, E * (k + 1):E * (k + 2)])
     if items:
         np.add.at(grads["item_emb"], items, du / len(items))
     return weight * loss, grads

@@ -150,6 +150,24 @@ def test_train_invalid_structure_is_usage_error(corpus60, tmp_path):
     assert "paths_per_item" in result.output
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"training": {"bogus": 1}}, "unknown training keys ['bogus']"),
+    ({"structure": [1, 2]}, "section 'structure' must be a JSON object"),
+    ({"training": {"epochs": "2"}}, "not supported between"),
+    ({"training": {"learning_rate": 0}}, "learning_rate must be positive"),
+])
+def test_train_bad_config_file_is_usage_error(corpus60, tmp_path, config, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    result = CliRunner().invoke(cli, ["train", "--input", str(corpus60),
+                                      "--output", str(tmp_path / "ck"),
+                                      "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert not (tmp_path / "ck").exists()
+
+
 def test_retrieve_brute_force_k_exceeding_corpus_is_usage_error(corpus60, tmp_path):
     ckpt = tmp_path / "ck60"
     result = CliRunner().invoke(cli, ["train", "--input", str(corpus60),
@@ -222,3 +240,22 @@ def test_corrupt_checkpoint_is_clean_error(checkpoint, tmp_path):
     result = CliRunner().invoke(cli, ["inspect", "--checkpoint", str(broken)])
     assert result.exit_code == 1
     assert "mismatch" in result.output
+
+
+@pytest.mark.parametrize("damage", ["truncate", "drop_tensors"])
+def test_corrupt_manifest_is_clean_error(checkpoint, tmp_path, damage):
+    import shutil
+    broken = tmp_path / "broken"
+    shutil.copytree(checkpoint, broken)
+    manifest = broken / "manifest.json"
+    if damage == "truncate":
+        manifest.write_text(manifest.read_text()[:40])
+    else:
+        content = json.loads(manifest.read_text())
+        del content["tensors"]
+        manifest.write_text(json.dumps(content))
+    result = CliRunner().invoke(cli, ["inspect", "--checkpoint", str(broken)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "manifest.json" in result.output
+    assert len(result.output.strip().splitlines()) == 1

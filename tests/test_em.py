@@ -262,3 +262,24 @@ def test_em_epoch_stats_shape():
                 "nonempty_paths", "softmax_frozen"):
         assert key in stats
     assert sum(mapping.path_sizes.values()) == 6
+
+
+def test_em_epoch_frozen_softmax_keeps_out_emb():
+    # From the freeze epoch on, the output embeddings stay put while the
+    # shared encoder (the structure item embeddings) keeps training.
+    cfg = make_cfg(K=2, D=2, J=1, S=4)
+    params = StructureParams.init_random(cfg, 6, substream(2, "init"))
+    model = SoftmaxModel.init_random(6, cfg.emb_dim, substream(2, "softmax"))
+    mapping = ItemPathMapping.random_init(cfg, 6, substream(2, "mapping"))
+    samples = [(UserContext((0, 1)), 2), (UserContext((3,)), 4),
+               (UserContext((5, 2)), 1)]
+    out_before = model.out_emb.copy()
+    item_before = params.item_emb.copy()
+    _, stats = em_epoch(samples, params, model, mapping,
+                        ScoreTable(cfg.score_capacity), OptimizerState(0.01),
+                        EmConfig(num_negatives=2, freeze_epoch=0), 0,
+                        substream(2, "neg"), substream(2, "shuffle"),
+                        substream(2, "cd"))
+    assert stats["softmax_frozen"]
+    np.testing.assert_array_equal(model.out_emb, out_before)
+    assert np.any(params.item_emb != item_before)

@@ -174,6 +174,25 @@ def test_checkpoint_version_mismatch(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def test_checkpoint_truncated_manifest_is_corruption(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", make_trained())
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest_path.write_text(manifest_path.read_text()[:-20])
+    with pytest.raises(CorruptionError, match="manifest.json"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("key", ["tensors", "files", "config", "item_ids"])
+def test_checkpoint_manifest_missing_key_is_corruption(tmp_path, key):
+    save_checkpoint(tmp_path / "ckpt", make_trained())
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest[key]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CorruptionError, match=key):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_checkpoint_extra_config_preserved(tmp_path):
     trained = make_trained()
     save_checkpoint(tmp_path / "ckpt", trained, extra_config={"seed": 7})

@@ -232,20 +232,3 @@ def test_joint_loss_gradient_finite_differences():
             an = grads[name][idx]
             if abs(fd) > 1e-10 or abs(an) > 1e-10:
                 assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8), name
-
-
-def test_joint_loss_freeze_zeroes_out_emb_gradient_only():
-    cfg, params, model = setup(num_items=6, seed=12, K=2, D=2, J=1)
-    mapping = ItemPathMapping.random_init(cfg, 6, substream(12, "mapping"))
-    ctx = UserContext((1, 2))
-    negatives = np.array([0, 4])
-    loss_f, grads_f = joint_loss(ctx, 3, mapping, params, model, 0.0,
-                                 negatives=negatives, freeze_softmax=True)
-    loss_u, grads_u = joint_loss(ctx, 3, mapping, params, model, 0.0,
-                                 negatives=negatives, freeze_softmax=False)
-    assert loss_f == loss_u
-    np.testing.assert_array_equal(grads_f["out_emb"],
-                                  np.zeros_like(model.out_emb))
-    assert np.any(grads_u["out_emb"] != 0)
-    for name in params.tensor_dict():
-        np.testing.assert_array_equal(grads_f[name], grads_u[name])

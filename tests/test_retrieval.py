@@ -38,18 +38,9 @@ def test_mapping_round_trip_and_size_invariant():
     cfg = make_cfg()
     mapping = ItemPathMapping.random_init(cfg, 20, substream(1, "mapping"))
     assert sum(mapping.path_sizes.values()) == 20 * cfg.paths_per_item
-    mapping.validate(cfg)
     rebuilt = ItemPathMapping.from_assignments(mapping.assignments)
     assert rebuilt.path_sizes == mapping.path_sizes
     assert rebuilt.inverted == mapping.inverted
-
-
-def test_mapping_validate_detects_tampering():
-    cfg = make_cfg()
-    mapping = ItemPathMapping.random_init(cfg, 5, substream(2, "mapping"))
-    mapping.path_sizes[next(iter(mapping.path_sizes))] += 1
-    with pytest.raises(ValueError):
-        mapping.validate()
 
 
 def test_beam_b1_is_greedy_chain():

@@ -152,6 +152,11 @@ def test_multi_path_loss_single_path_reduction():
     ctx = UserContext((1, 2))
     loss, _ = multi_path_loss(ctx, [(1, 2)], params)
     assert loss == pytest.approx(-path_log_prob(ctx, (1, 2), params), rel=1e-12)
+    # Several paths, two sharing their first node: -log sum_j p(path_j | x).
+    for paths in [[(1, 2), (0, 0)], [(2, 1), (2, 0), (0, 2)], list(all_paths(cfg))[:5]]:
+        loss, _ = multi_path_loss(ctx, paths, params)
+        want = -math.log(sum(math.exp(path_log_prob(ctx, p, params)) for p in paths))
+        assert loss == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_multi_path_loss_full_cover_is_zero():
@@ -183,18 +188,28 @@ def test_multi_path_loss_monotone_in_path_set():
         prev = cur
 
 
-def test_multi_path_loss_gradient_finite_differences():
-    cfg = make_cfg(K=3, D=2)
+@pytest.mark.parametrize("D, paths", [
+    (2, [(0, 1), (2, 0)]),
+    (1, [(0,), (2,)]),
+    # Two paths share their first node: their node-embedding gradients
+    # land in the same row.
+    (3, [(1, 0, 2), (1, 2, 0), (0, 1, 1)]),
+    (2, [(0, 1), (2, 0), (0, 1)]),      # a duplicated path counts once
+], ids=["D2", "D1", "D3-shared-prefix", "D2-duplicate"])
+def test_multi_path_loss_gradient_finite_differences(D, paths):
+    cfg = make_cfg(K=3, D=D)
     params = random_params(cfg, seed=8)
     ctx = UserContext((1, 4, 6))
-    paths = [(0, 1), (2, 0)]
     _, grads = multi_path_loss(ctx, paths, params)
     rng = np.random.default_rng(0)
     eps = 1e-5
     tensors = params.tensor_dict()
     for name, arr in tensors.items():
-        for _ in range(4):
-            idx = tuple(int(rng.integers(s)) for s in arr.shape)
+        # Every node-embedding row the paths touch, plus random entries.
+        idxs = [(k, p[k], int(rng.integers(cfg.emb_dim)))
+                for p in paths for k in range(D - 1)] if name == "node_emb" else []
+        for idx in idxs + [tuple(int(rng.integers(s)) for s in arr.shape)
+                           for _ in range(4)]:
             orig = arr[idx]
             arr[idx] = orig + eps
             lp, _ = multi_path_loss(ctx, paths, params)
