@@ -3,7 +3,6 @@ products on a synthetic corpus of configurable size.
 
 Usage:
     python3 scripts/bench_latency.py [--items 200000] [--beam 50]
-    DR_THREADS=4 python3 scripts/bench_latency.py ...
 """
 
 import argparse

@@ -4,10 +4,8 @@ brute-force inner products on identical queries.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,29 +32,12 @@ class BenchReport:
     k: int
     beam_size: int
     num_queries: int
-    workers: int
     structure: MethodTiming
     brute_force: MethodTiming
     speedup: float        # brute-force mean / structure mean
 
     def as_dict(self) -> dict:
-        return {
-            "corpus_size": self.corpus_size, "k": self.k,
-            "beam_size": self.beam_size, "num_queries": self.num_queries,
-            "workers": self.workers,
-            "structure": vars(self.structure),
-            "brute_force": vars(self.brute_force),
-            "speedup": self.speedup,
-        }
-
-
-def worker_count() -> int:
-    """DR_THREADS caps the benchmark worker count (default 1)."""
-    raw = os.environ.get("DR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return asdict(self)
 
 
 def synthetic_model(cfg: StructureConfig, num_items: int, seed: int) -> TrainedModel:
@@ -83,7 +64,7 @@ def run_bench(trained: TrainedModel, num_queries: int, k: int,
     """Time both retrieval methods on identical random queries.
 
     Queries are random behavior sequences over the corpus; both methods are
-    warmed up before measurement. Workers each time their own queries."""
+    warmed up before measurement."""
     if num_queries < MIN_QUERIES:
         raise ValueError(f"num_queries must be >= {MIN_QUERIES}")
     V = trained.num_items
@@ -109,15 +90,9 @@ def run_bench(trained: TrainedModel, num_queries: int, k: int,
         dr_query(behavior)
         bf_query(behavior)
 
-    workers = worker_count()
     results = {}
     for name, fn in (("structure", dr_query), ("brute_force", bf_query)):
-        if workers == 1:
-            ms = np.array([time_one(fn, b) for b in queries])
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                ms = np.array(list(pool.map(lambda b: time_one(fn, b), queries)))
-        results[name] = _timing(ms)
+        results[name] = _timing(np.array([time_one(fn, b) for b in queries]))
     speedup = results["brute_force"].mean_ms / results["structure"].mean_ms
-    return BenchReport(V, k, B, num_queries, workers,
+    return BenchReport(V, k, B, num_queries,
                        results["structure"], results["brute_force"], speedup)

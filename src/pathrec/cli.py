@@ -33,10 +33,10 @@ PROFILES = {
                "score_capacity": 50},
 }
 
+#: The StructureConfig fields without a default there; the CLI picks these.
 STRUCTURE_DEFAULTS = {
     "num_nodes": 16, "depth": 2, "paths_per_item": 2, "beam_size": 8,
-    "score_capacity": 8, "penalty_alpha": 1e-4, "decay_eta": 0.999,
-    "emb_dim": 16, "max_seq_len": 69, "hidden_width": None,
+    "score_capacity": 8, "penalty_alpha": 1e-4,
 }
 
 
@@ -69,10 +69,11 @@ def build_configs(profile, config_path, overrides) -> tuple:
             if unknown:
                 raise ValueError(f"{config_path}: unknown {name} keys {sorted(unknown)}")
             args.update(values)
+    structure_keys = {f.name for f in dataclasses.fields(StructureConfig)}
     for key, value in overrides.items():
         if value is None:
             continue
-        if key in STRUCTURE_DEFAULTS:
+        if key in structure_keys:
             s_args[key] = value
         else:
             t_args[key] = value
@@ -167,7 +168,8 @@ def train(input_path, ckpt_path, seed, val_users, test_users, stats_out,
     """Train the structure model and reranker with the EM loop."""
     try:
         cfg, em_cfg = build_configs(profile, config_path, overrides)
-    except (TypeError, ValueError) as exc:     # TypeError: a mistyped value
+        persist.check_replaceable(ckpt_path)
+    except (TypeError, ValueError, FileExistsError) as exc:   # TypeError: a mistyped value
         raise click.UsageError(str(exc))
     records, _ = data_mod.load_interactions_csv(input_path)
     if not records:
@@ -287,9 +289,7 @@ def bench(ckpt_path, synthetic_items, profile, queries, k, beam_size, seed):
         raise click.UsageError("supply exactly one of --checkpoint and "
                                "--synthetic-items")
     if synthetic_items is not None:
-        s_args = dict(STRUCTURE_DEFAULTS)
-        s_args.update(PROFILES[profile or "amazon"])
-        cfg = StructureConfig(**s_args)
+        cfg, _ = build_configs(profile or "amazon", None, {})
         trained = bench_mod.synthetic_model(cfg, synthetic_items, seed)
     else:
         trained = _load(ckpt_path)

@@ -33,7 +33,6 @@ class EmConfig:
     freeze_epoch: int = 2         # softmax output embeddings freeze from here
     structure_weight: float = 1.0
     softmax_weight: float = 1.0
-    score_beam_width: int | None = None   # None -> score_capacity
 
     def __post_init__(self):
         if self.cd_iterations < 1:
@@ -90,15 +89,14 @@ def streaming_score_update(table: ScoreTable, item: int, new_scores, eta: float)
     table.scores[item] = dict(kept)
 
 
-def accumulate_scores(batch, params: StructureParams, table: ScoreTable,
-                      beam_width: int | None = None) -> None:
-    """Fold per-sample path probabilities of beam-selected candidates into
-    the table and bump the decayed occurrence counts."""
+def accumulate_scores(batch, params: StructureParams, table: ScoreTable) -> None:
+    """Fold per-sample path probabilities of the top table-capacity beam
+    paths into the table and bump the decayed occurrence counts."""
     cfg = params.cfg
-    width = table.capacity if beam_width is None else beam_width
+    width = min(table.capacity, cfg.num_paths)
     eta = cfg.decay_eta
     for ctx, item in batch:
-        paths = beam_search(ctx, params, beam_size=min(width, cfg.num_paths))
+        paths = beam_search(ctx, params, beam_size=width)
         new_scores = [(path, math.exp(lp)) for path, lp in paths]
         streaming_score_update(table, item, new_scores, eta)
         table.counts[item] = eta * table.counts.get(item, 0.0) + 1.0
@@ -112,8 +110,7 @@ def coordinate_descent_assign(table: ScoreTable, num_items: int,
                               num_nodes: int, depth: int, alpha: float,
                               paths_per_item: int, iterations: int,
                               rng: np.random.Generator,
-                              prev_mapping: ItemPathMapping | None = None,
-                              size_fn=quartic_size_penalty) -> ItemPathMapping:
+                              prev_mapping: ItemPathMapping | None = None) -> ItemPathMapping:
     """Greedy per-item selection of J distinct paths by incremental gain.
 
     Gain of adding path c as the j-th assignment of item v:
@@ -127,7 +124,7 @@ def coordinate_descent_assign(table: ScoreTable, num_items: int,
     items with fewer than J candidates are padded with random unassigned
     paths.
     """
-    J, T = paths_per_item, iterations
+    J, T, f = paths_per_item, iterations, quartic_size_penalty
     candidates: list = []
     fixed: list = [None] * num_items      # cold items keep these paths
     n_cold = 0
@@ -175,7 +172,7 @@ def coordinate_descent_assign(table: ScoreTable, num_items: int,
                 # current paths released from `sizes` (distinct paths, so
                 # the penalty increments are order independent).
                 s_sum = sum(score_of[c] for c in paths)
-                pen = sum(size_fn(sizes.get(c, 0) + 1) - size_fn(sizes.get(c, 0))
+                pen = sum(f(sizes.get(c, 0) + 1) - f(sizes.get(c, 0))
                           for c in paths)
                 return nv * math.log(max(s_sum, PROB_FLOOR)) - alpha * pen
 
@@ -191,7 +188,7 @@ def coordinate_descent_assign(table: ScoreTable, num_items: int,
                     else:
                         gain_log = nv * (math.log(s + partial) - math.log(partial))
                     sz = sizes.get(c, 0)
-                    gain = gain_log - alpha * (size_fn(sz + 1) - size_fn(sz))
+                    gain = gain_log - alpha * (f(sz + 1) - f(sz))
                     if gain > best_gain or (gain == best_gain and
                                             best_path is not None and c < best_path):
                         best_path, best_score, best_gain = c, s, gain
@@ -206,8 +203,7 @@ def coordinate_descent_assign(table: ScoreTable, num_items: int,
     return mapping
 
 
-def assignment_objective(table: ScoreTable, assignments, alpha: float,
-                         size_fn=quartic_size_penalty) -> float:
+def assignment_objective(table: ScoreTable, assignments, alpha: float) -> float:
     """Penalized surrogate value sum_v N_v log sum_j s[v, pi_j(v)] minus the
     path-size penalty (item-count constants dropped)."""
     total = 0.0
@@ -219,7 +215,7 @@ def assignment_objective(table: ScoreTable, assignments, alpha: float,
         for p in paths:
             p = tuple(p)
             sizes[p] = sizes.get(p, 0) + 1
-    return total - alpha * sum(size_fn(n) for n in sizes.values())
+    return total - alpha * sum(quartic_size_penalty(n) for n in sizes.values())
 
 
 def structure_log_likelihood(samples, mapping: ItemPathMapping,
@@ -293,8 +289,7 @@ def em_epoch(samples, params: StructureParams, model: SoftmaxModel,
             del grads["out_emb"]
         optimizer_step(tensors, grads, opt_state)
         losses.append(batch_loss / n)
-        accumulate_scores((samples[i] for i in idx), params, table,
-                          beam_width=em_cfg.score_beam_width)
+        accumulate_scores((samples[i] for i in idx), params, table)
     new_mapping = coordinate_descent_assign(
         table, mapping.num_items, cfg.num_nodes, cfg.depth, cfg.penalty_alpha,
         cfg.paths_per_item, em_cfg.cd_iterations, rng_mapping,

@@ -12,7 +12,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import shutil
 import struct
+import uuid
 import zlib
 from pathlib import Path
 
@@ -71,7 +73,7 @@ def _format_path(path) -> str:
 
 
 def _parse_path(text: str):
-    return tuple(int(c) for c in text.split("-"))
+    return tuple(map(int, text.split("-")))
 
 
 def write_mapping(path, mapping: ItemPathMapping) -> None:
@@ -82,15 +84,17 @@ def write_mapping(path, mapping: ItemPathMapping) -> None:
 
 
 def read_mapping(path) -> ItemPathMapping:
-    assignments: dict = {}
+    """The mapping of a `write_mapping` file, whose rows are in item order."""
+    assignments: list = []
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
         item_text, paths_text = line.split("\t")
-        assignments[int(item_text)] = tuple(_parse_path(p)
-                                            for p in paths_text.split(";"))
-    ordered = [assignments[i] for i in range(len(assignments))]
-    return ItemPathMapping.from_assignments(ordered)
+        if int(item_text) != len(assignments):
+            raise CorruptionError(
+                f"{path}: row of item {item_text} where item {len(assignments)} belongs")
+        assignments.append(tuple(map(_parse_path, paths_text.split(";"))))
+    return ItemPathMapping.from_assignments(assignments)
 
 
 def write_scores(path, table: ScoreTable) -> None:
@@ -123,36 +127,58 @@ def read_scores(path) -> ScoreTable:
     return table
 
 
+def check_replaceable(directory) -> None:
+    """Raise FileExistsError unless `directory` is absent, an empty directory
+    or a checkpoint (holding manifest.json): what `save_checkpoint` replaces."""
+    root = Path(directory)
+    if root.exists() and not (root / "manifest.json").is_file() and \
+            (not root.is_dir() or any(root.iterdir())):
+        raise FileExistsError(
+            f"{root}: neither a checkpoint nor an empty directory; not replacing it")
+
+
 def save_checkpoint(directory, trained: TrainedModel,
                     extra_config: dict | None = None) -> None:
-    """Write a complete checkpoint; deterministic byte-for-byte given the
-    same model state."""
-    root = Path(directory)
-    (root / "tensors").mkdir(parents=True, exist_ok=True)
-    tensors = dict(trained.params.tensor_dict())
-    tensors["out_emb"] = trained.model.out_emb
-    tensor_meta = {}
-    for name, arr in tensors.items():
-        rel = f"tensors/{name}.bin"
-        write_tensor(root / rel, arr)
-        tensor_meta[name] = {"file": rel, "shape": list(arr.shape),
-                             "sha256": _sha256(root / rel)}
-    write_mapping(root / "mapping.tsv", trained.mapping)
-    write_scores(root / "scores.tsv", trained.table)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "config": dataclasses.asdict(trained.cfg),
-        "extra_config": extra_config or {},
-        "num_items": trained.num_items,
-        "item_ids": list(trained.item_ids),
-        "tensors": tensor_meta,
-        "files": {
-            "mapping": {"file": "mapping.tsv", "sha256": _sha256(root / "mapping.tsv")},
-            "scores": {"file": "scores.tsv", "sha256": _sha256(root / "scores.tsv")},
-        },
-    }
-    (root / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    """Write a complete checkpoint, deterministic byte-for-byte given the
+    same model state, into a temp directory beside `directory` that then
+    takes its place: a failed write leaves an earlier checkpoint whole, and
+    no file of an earlier model survives a successful one."""
+    root = Path(directory).resolve()
+    check_replaceable(root)
+    tmp = root.with_name(f".{root.name}.{uuid.uuid4().hex[:12]}")
+    old = tmp.with_name(tmp.name + ".old")
+    try:
+        (tmp / "tensors").mkdir(parents=True)
+        tensors = dict(trained.params.tensor_dict())
+        tensors["out_emb"] = trained.model.out_emb
+        tensor_meta = {}
+        for name, arr in tensors.items():
+            rel = f"tensors/{name}.bin"
+            write_tensor(tmp / rel, arr)
+            tensor_meta[name] = {"file": rel, "shape": list(arr.shape),
+                                 "sha256": _sha256(tmp / rel)}
+        write_mapping(tmp / "mapping.tsv", trained.mapping)
+        write_scores(tmp / "scores.tsv", trained.table)
+        manifest = {
+            "format_version": FORMAT_VERSION,
+            "config": dataclasses.asdict(trained.cfg),
+            "extra_config": extra_config or {},
+            "num_items": trained.num_items,
+            "item_ids": list(trained.item_ids),
+            "tensors": tensor_meta,
+            "files": {
+                "mapping": {"file": "mapping.tsv", "sha256": _sha256(tmp / "mapping.tsv")},
+                "scores": {"file": "scores.tsv", "sha256": _sha256(tmp / "scores.tsv")},
+            },
+        }
+        (tmp / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+        if root.exists():
+            root.rename(old)
+        tmp.rename(root)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(directory) -> TrainedModel:

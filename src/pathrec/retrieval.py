@@ -4,8 +4,9 @@ end-to-end candidate retrieval.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,38 +16,39 @@ from .structure import batched_layer_log_probs, user_embedding
 
 @dataclass
 class ItemPathMapping:
-    """The item -> J paths assignment with its derived bookkeeping.
-
-    `path_sizes` counts multiplicity (an item contributes once per assigned
-    path) and `inverted` maps each non-empty path to its item ids.
-    """
+    """The item -> J paths assignment and the path -> items inverted index
+    over its non-empty paths."""
 
     assignments: list          # item id -> tuple of J PathIds
-    path_sizes: dict = field(default_factory=dict)
-    inverted: dict = field(default_factory=dict)
+    inverted: dict             # non-empty PathId -> item ids, ascending
 
     @classmethod
     def from_assignments(cls, assignments) -> "ItemPathMapping":
-        """The mapping with its path sizes and inverted index built."""
-        mapping = cls([tuple(tuple(int(c) for c in p) for p in paths)
-                       for paths in assignments])
-        for item, paths in enumerate(mapping.assignments):
+        """The mapping with its inverted index built. `assignments` holds
+        per item a J-tuple of int tuples, stored as given."""
+        inverted: dict = {}
+        for item, paths in enumerate(assignments):
             for path in paths:
-                mapping.path_sizes[path] = mapping.path_sizes.get(path, 0) + 1
-                mapping.inverted.setdefault(path, []).append(item)
-        return mapping
+                inverted.setdefault(path, []).append(item)
+        return cls(list(assignments), inverted)
+
+    @functools.cached_property
+    def path_sizes(self) -> dict:
+        """Items per non-empty path; an item counts once per assigned path."""
+        return {path: len(items) for path, items in self.inverted.items()}
 
     @classmethod
     def random_init(cls, cfg: StructureConfig, num_items: int,
                     rng: np.random.Generator) -> "ItemPathMapping":
         """J distinct random paths per item."""
         J, D, K = cfg.paths_per_item, cfg.depth, cfg.num_nodes
-        draw = rng.integers(0, K, size=(num_items, J, D))
+        draw = rng.integers(0, K, size=(num_items * J, D))
+        drawn = list(zip(*draw.T.tolist()))      # one int tuple per row
         assignments = []
         for v in range(num_items):
-            chosen = {tuple(int(c) for c in row) for row in draw[v]}
+            chosen = set(drawn[v * J:(v + 1) * J])
             while len(chosen) < J:     # rare collision, redraw
-                chosen.add(tuple(int(c) for c in rng.integers(0, K, size=D)))
+                chosen.add(tuple(rng.integers(0, K, size=D).tolist()))
             assignments.append(tuple(sorted(chosen)))
         return cls.from_assignments(assignments)
 
@@ -159,19 +161,22 @@ def retrieve_candidates(ctx: UserContext, params: StructureParams,
     return out
 
 
+#: `adaptive_beam` wants this many candidates per item requested.
+ADAPTIVE_MULTIPLIER = 5
+
+
 def adaptive_beam(ctx: UserContext, params: StructureParams,
-                  mapping: ItemPathMapping, target_count: int,
-                  multiplier: int = 5) -> tuple:
+                  mapping: ItemPathMapping, target_count: int) -> tuple:
     """Grow the beam geometrically until enough candidates are retrieved.
 
-    Doubles B until the candidate count reaches `multiplier` times
+    Doubles B until the candidate count reaches ADAPTIVE_MULTIPLIER times
     `target_count` or the beam covers every path. Returns (candidates, B),
     where `candidates` is the `retrieve_candidates` array at that B.
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
     cfg = params.cfg
-    want = multiplier * target_count
+    want = ADAPTIVE_MULTIPLIER * target_count
     B = 1
     while True:
         candidates = retrieve_candidates(ctx, params, mapping, beam_size=B)

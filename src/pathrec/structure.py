@@ -52,6 +52,8 @@ class StructureConfig:
             raise ValueError("decay_eta must be in (0, 1]")
         if self.emb_dim < 1 or self.max_seq_len < 1:
             raise ValueError("emb_dim and max_seq_len must be >= 1")
+        if self.hidden_width is not None and self.hidden_width < 1:
+            raise ValueError("hidden_width must be >= 1")
 
     @property
     def num_paths(self) -> int:
@@ -270,21 +272,17 @@ def multi_path_loss(ctx: UserContext, paths, params: StructureParams,
 
 
 def quartic_size_penalty(n: float) -> float:
-    """f(|c|) = |c|^4 / 4, the default overload penalty."""
+    """f(|c|) = |c|^4 / 4, the overload penalty."""
     return n**4 / 4.0
 
 
-def quadratic_size_penalty(n: float) -> float:
-    """f(|c|) = |c|^2 / 2, controls the average path size."""
-    return n * n / 2.0
-
-
-def penalty_value(mapping, alpha: float, size_fn=quartic_size_penalty) -> float:
-    """alpha * sum over non-empty paths of size_fn(|c|)."""
+def penalty_value(mapping, alpha: float) -> float:
+    """alpha * sum over non-empty paths of f(|c|); `mapping` is an
+    ItemPathMapping or a path -> size dict."""
     sizes = getattr(mapping, "path_sizes", mapping)
     total = 0.0
     for path, n in sizes.items():
         if n < 0:
             raise ValueError(f"negative size {n} for path {path}")
-        total += size_fn(n)
+        total += quartic_size_penalty(n)
     return alpha * total

@@ -150,11 +150,24 @@ def test_train_invalid_structure_is_usage_error(corpus60, tmp_path):
     assert "paths_per_item" in result.output
 
 
+def test_train_refuses_to_replace_other_files(corpus60, tmp_path):
+    target = tmp_path / "notes"
+    target.mkdir()
+    (target / "keep.txt").write_text("mine")
+    result = CliRunner().invoke(cli, ["train", "--input", str(corpus60),
+                                      "--output", str(target), "--epochs", "1"])
+    assert result.exit_code == 2
+    assert "neither a checkpoint nor an empty directory" in result.output
+    assert [p.name for p in target.iterdir()] == ["keep.txt"]
+
+
 @pytest.mark.parametrize("config, message", [
     ({"training": {"bogus": 1}}, "unknown training keys ['bogus']"),
     ({"structure": [1, 2]}, "section 'structure' must be a JSON object"),
     ({"training": {"epochs": "2"}}, "not supported between"),
     ({"training": {"learning_rate": 0}}, "learning_rate must be positive"),
+    ({"structure": {"hidden_width": 0}}, "hidden_width must be >= 1"),
+    ({"structure": {"hidden_width": -3}}, "hidden_width must be >= 1"),
 ])
 def test_train_bad_config_file_is_usage_error(corpus60, tmp_path, config, message):
     config_path = tmp_path / "config.json"

@@ -110,7 +110,7 @@ def test_accumulate_full_beam_matches_exact_sums():
     table = ScoreTable(4)
     samples = [(UserContext((0, 1)), 4), (UserContext((2,)), 4),
                (UserContext((3,)), 5)]
-    accumulate_scores(samples, params, table, beam_width=4)
+    accumulate_scores(samples, params, table)
     for item in (4, 5):
         for path in [(a, b) for a in range(2) for b in range(2)]:
             exact = sum(math.exp(path_log_prob(ctx, path, params))

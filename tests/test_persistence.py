@@ -1,9 +1,11 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pathrec import persist
 from pathrec.em import ScoreTable
 from pathrec.persist import (TENSOR_MAGIC, CorruptionError, MigrationError,
                              load_checkpoint, read_mapping, read_scores,
@@ -16,8 +18,8 @@ from pathrec.structure import StructureConfig, StructureParams
 from pathrec.trained import TrainedModel
 
 
-def make_trained(seed=0, num_items=12):
-    cfg = StructureConfig(num_nodes=3, depth=2, paths_per_item=2, beam_size=4,
+def make_trained(seed=0, num_items=12, depth=2):
+    cfg = StructureConfig(num_nodes=3, depth=depth, paths_per_item=2, beam_size=4,
                           score_capacity=4, penalty_alpha=1e-4, emb_dim=4)
     params = StructureParams.init_random(cfg, num_items, substream(seed, "init"))
     model = SoftmaxModel.init_random(num_items, cfg.emb_dim,
@@ -84,6 +86,13 @@ def test_mapping_text_format(tmp_path):
     back = read_mapping(path)
     assert back.assignments == mapping.assignments
     assert back.path_sizes == mapping.path_sizes
+
+
+def test_mapping_rows_out_of_order_are_corruption(tmp_path):
+    path = tmp_path / "mapping.tsv"
+    path.write_text("0\t0-1\n2\t1-1\n")
+    with pytest.raises(CorruptionError, match="item 1"):
+        read_mapping(path)
 
 
 def test_scores_round_trip_is_exact(tmp_path):
@@ -198,3 +207,48 @@ def test_checkpoint_extra_config_preserved(tmp_path):
     save_checkpoint(tmp_path / "ckpt", trained, extra_config={"seed": 7})
     manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
     assert manifest["extra_config"] == {"seed": 7}
+
+
+def test_checkpoint_overwrite_leaves_no_stale_files(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", make_trained(depth=3))
+    assert (tmp_path / "ckpt" / "tensors" / "mlp2_w1.bin").exists()
+    save_checkpoint(tmp_path / "ckpt", make_trained(depth=2))
+    save_checkpoint(tmp_path / "fresh", make_trained(depth=2))
+    files = sorted(p.relative_to(tmp_path / "ckpt")
+                   for p in (tmp_path / "ckpt").rglob("*"))
+    assert files == sorted(p.relative_to(tmp_path / "fresh")
+                           for p in (tmp_path / "fresh").rglob("*"))
+    assert load_checkpoint(tmp_path / "ckpt").cfg.depth == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "fresh"]
+
+
+def test_checkpoint_failed_write_keeps_the_old_one(tmp_path, monkeypatch):
+    old = make_trained(seed=0)
+    save_checkpoint(tmp_path / "ckpt", old)
+
+    def fail(path, table):
+        Path(path).write_text("half")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(persist, "write_scores", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tmp_path / "ckpt", make_trained(seed=1))
+    back = load_checkpoint(tmp_path / "ckpt")
+    assert back.mapping.assignments == old.mapping.assignments
+    assert back.table.scores == old.table.scores
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
+def test_checkpoint_replaces_only_a_checkpoint_or_an_empty_dir(tmp_path):
+    (tmp_path / "empty").mkdir()
+    save_checkpoint(tmp_path / "empty", make_trained())
+    assert load_checkpoint(tmp_path / "empty").num_items == 12
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "keep.txt").write_text("mine")
+    (tmp_path / "file").write_text("mine")
+    for name in ("other", "file"):
+        with pytest.raises(FileExistsError):
+            save_checkpoint(tmp_path / name, make_trained())
+    assert (tmp_path / "other" / "keep.txt").read_text() == "mine"
+    assert (tmp_path / "file").read_text() == "mine"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "file", "other"]

@@ -11,7 +11,7 @@ from pathrec.seeding import substream
 from pathrec.structure import (StructureConfig, StructureParams, UserContext,
                                layer_distribution, layer_input, layer_logits,
                                multi_path_loss, path_log_prob, penalty_value,
-                               quadratic_size_penalty, user_embedding)
+                               user_embedding)
 
 
 def make_cfg(K=3, D=2, J=2, emb_dim=4, **kw):
@@ -42,6 +42,11 @@ def test_config_validation():
     with pytest.raises(ValueError):     # more paths per item than K^D
         StructureConfig(num_nodes=2, depth=1, paths_per_item=3, beam_size=1,
                         score_capacity=3, penalty_alpha=0.0)
+    for width in (0, -3):
+        with pytest.raises(ValueError, match="hidden_width"):
+            make_cfg(hidden_width=width)
+    assert make_cfg(hidden_width=1).mlp_hidden == 1
+    assert make_cfg(hidden_width=None).mlp_hidden == 12
 
 
 def test_user_embedding_empty_is_zero():
@@ -248,7 +253,5 @@ def test_penalty_value_cases():
     assert penalty_value({}, 1.0) == 0.0
     assert penalty_value({(0, 0): 2}, 1.0) == pytest.approx(4.0)
     assert penalty_value({(0, 0): 3, (1, 1): 1}, 0.5) == pytest.approx(10.25)
-    assert penalty_value({(0,): 4}, 1.0, size_fn=quadratic_size_penalty) == \
-        pytest.approx(8.0)
     with pytest.raises(ValueError):
         penalty_value({(0, 0): -1}, 1.0)
