@@ -59,12 +59,11 @@ def _timing(samples_ms: np.ndarray) -> MethodTiming:
 
 
 def run_bench(trained: TrainedModel, num_queries: int, k: int,
-              beam_size: int | None = None, seed: int = 0,
-              behavior_len: int = 10) -> BenchReport:
+              beam_size: int | None = None, seed: int = 0) -> BenchReport:
     """Time both retrieval methods on identical random queries.
 
-    Queries are random behavior sequences over the corpus; both methods are
-    warmed up before measurement."""
+    Queries are random 10-item behavior sequences over the corpus; both
+    methods are warmed up before measurement."""
     if num_queries < MIN_QUERIES:
         raise ValueError(f"num_queries must be >= {MIN_QUERIES}")
     V = trained.num_items
@@ -72,7 +71,7 @@ def run_bench(trained: TrainedModel, num_queries: int, k: int,
         raise ValueError(f"k={k} exceeds corpus size {V}")
     B = trained.cfg.beam_size if beam_size is None else beam_size
     rng = substream(seed, "bench-queries")
-    queries = [list(rng.integers(0, V, size=behavior_len))
+    queries = [list(rng.integers(0, V, size=10))
                for _ in range(num_queries)]
 
     def time_one(fn, behavior):

@@ -159,8 +159,8 @@ def _train_options(fn):
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--output", "ckpt_path", required=True, type=click.Path())
 @click.option("--seed", default=0, show_default=True)
-@click.option("--val-users", default=0, show_default=True)
-@click.option("--test-users", default=0, show_default=True)
+@click.option("--val-users", default=0, show_default=True, type=click.IntRange(min=0))
+@click.option("--test-users", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--stats-out", type=click.Path())
 @_train_options
 def train(input_path, ckpt_path, seed, val_users, test_users, stats_out,
@@ -175,11 +175,11 @@ def train(input_path, ckpt_path, seed, val_users, test_users, stats_out,
     if not records:
         raise click.ClickException("no usable interaction records")
     num_items = len(data_mod.build_item_vocab(records)[0])
-    if em_cfg.softmax_weight != 0 and not 1 <= em_cfg.num_negatives < num_items:
+    if not 1 <= em_cfg.num_negatives < num_items:
         raise click.ClickException(
             f"--negatives {em_cfg.num_negatives} must be in [1, {num_items - 1}] "
             f"for a corpus of {num_items} items")
-    split = data_mod.make_split(records, val_users, test_users, seed)
+    split = _split(records, val_users, test_users, seed)
     trained = train_model(records, split, cfg, em_cfg, seed)
     persist.save_checkpoint(ckpt_path, trained,
                             extra_config={"training": dataclasses.asdict(em_cfg),
@@ -195,6 +195,13 @@ def train(input_path, ckpt_path, seed, val_users, test_users, stats_out,
           "num_items": trained.num_items})
 
 
+def _split(records, val_users, test_users, seed):
+    try:
+        return data_mod.make_split(records, val_users, test_users, seed)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 def _load(ckpt_path):
     try:
         return persist.load_checkpoint(ckpt_path)
@@ -206,21 +213,23 @@ def _load(ckpt_path):
 @click.option("--checkpoint", "ckpt_path", required=True, type=click.Path(exists=True))
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--val-users", default=0, show_default=True)
-@click.option("--test-users", default=0, show_default=True)
+@click.option("--val-users", default=0, show_default=True, type=click.IntRange(min=0))
+@click.option("--test-users", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--subset", default="test", show_default=True,
               type=click.Choice(["test", "validation", "train"]))
-@click.option("--k", default=10, show_default=True)
+@click.option("--k", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--method", default="both", show_default=True,
               type=click.Choice(["structure", "brute-force", "both"]))
-@click.option("--beam", "beam_size", type=int)
+@click.option("--beam", "beam_size", type=click.IntRange(min=1))
 @click.option("--adaptive/--no-adaptive", default=True, show_default=True)
 def evaluate(ckpt_path, input_path, seed, val_users, test_users, subset, k,
              method, beam_size, adaptive):
     """Evaluate retrieval quality on a deterministic user split."""
     trained = _load(ckpt_path)
+    if method != "structure" and k > trained.num_items:
+        raise click.UsageError(f"k={k} exceeds corpus size {trained.num_items}")
     records, _ = data_mod.load_interactions_csv(input_path)
-    split = data_mod.make_split(records, val_users, test_users, seed)
+    split = _split(records, val_users, test_users, seed)
     index = {item: i for i, item in enumerate(trained.item_ids)}
 
     def translate(fn):
@@ -246,8 +255,8 @@ def evaluate(ckpt_path, input_path, seed, val_users, test_users, subset, k,
 @click.option("--checkpoint", "ckpt_path", required=True, type=click.Path(exists=True))
 @click.option("--user-seq", required=True,
               help="Comma-separated item ids, most recent last.")
-@click.option("--k", default=10, show_default=True)
-@click.option("--beam", "beam_size", type=int)
+@click.option("--k", default=10, show_default=True, type=click.IntRange(min=1))
+@click.option("--beam", "beam_size", type=click.IntRange(min=1))
 @click.option("--method", default="structure", show_default=True,
               type=click.Choice(["structure", "brute-force"]))
 def retrieve(ckpt_path, user_seq, k, beam_size, method):
@@ -258,8 +267,6 @@ def retrieve(ckpt_path, user_seq, k, beam_size, method):
         raw = [int(t) for t in user_seq.split(",") if t.strip()]
     except ValueError:
         raise click.UsageError("--user-seq must be comma-separated integers")
-    if k < 1:
-        raise click.UsageError(f"k={k} must be >= 1")
     if method == "brute-force" and k > trained.num_items:
         raise click.UsageError(f"k={k} exceeds corpus size {trained.num_items}")
     behavior = [index[i] for i in raw if i in index]
@@ -275,7 +282,7 @@ def retrieve(ckpt_path, user_seq, k, beam_size, method):
 
 @cli.command()
 @click.option("--checkpoint", "ckpt_path", type=click.Path(exists=True))
-@click.option("--synthetic-items", type=int,
+@click.option("--synthetic-items", type=click.IntRange(min=1),
               help="Benchmark a random model of this corpus size instead of "
                    "a checkpoint.")
 @click.option("--profile", type=click.Choice(sorted(PROFILES)))

@@ -1,5 +1,5 @@
-"""Minimal dense numeric kernel: affine layers, softmax, cross-entropy and a
-first-order optimizer.
+"""Minimal dense numeric kernel: affine layers, softmax and the Adam
+optimizer.
 
 Everything is plain numpy in 64-bit floats. Forward ops are pure functions;
 the optimizer mutates parameter arrays in place under a single-writer
@@ -78,23 +78,11 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def cross_entropy_grad(probs: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Loss -log p[target] and its gradient w.r.t. the logits, p - onehot."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= target < probs.shape[-1]:
-        raise ShapeError(f"target {target} out of range for {probs.shape[-1]} classes")
-    loss = -float(np.log(max(probs[target], PROB_FLOOR)))
-    grad = probs.copy()
-    grad[target] -= 1.0
-    return loss, grad
-
-
 @dataclass
 class OptimizerState:
-    """Adam (default) or plain SGD over a dict of named parameter arrays."""
+    """Adam over a dict of named parameter arrays."""
 
     learning_rate: float
-    kind: str = "adam"
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -105,8 +93,6 @@ class OptimizerState:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.kind not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
 
 
 def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> None:
@@ -119,10 +105,6 @@ def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> None:
             raise ShapeError(f"gradient shape {g.shape} != param shape "
                              f"{params[name].shape} for {name!r}")
     state.step += 1
-    if state.kind == "sgd":
-        for name, g in grads.items():
-            params[name] -= state.learning_rate * g
-        return
     t = state.step
     for name, g in grads.items():
         if name not in state.m:

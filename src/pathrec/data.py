@@ -115,7 +115,8 @@ def make_split(records, n_val_users: int, n_test_users: int, seed: int) -> EvalS
         by_user.setdefault(r.user_id, []).append((r.timestamp, order, r.item_id))
     users = sorted(by_user)
     if n_val_users + n_test_users >= len(users):
-        raise ValueError("not enough users for the requested validation/test sizes")
+        raise ValueError(f"{n_val_users} validation and {n_test_users} test users "
+                         f"leave no training user among {len(users)}")
     rng = substream(seed, "splits")
     picked = rng.choice(len(users), size=n_val_users + n_test_users, replace=False)
     val_users = sorted(users[i] for i in picked[:n_val_users])

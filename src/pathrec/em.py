@@ -13,8 +13,7 @@ import numpy as np
 from .core import PROB_FLOOR, OptimizerState, optimizer_step
 from .reranker import SoftmaxModel, joint_loss
 from .retrieval import ItemPathMapping, beam_search
-from .structure import (PathId, StructureParams, path_log_prob, penalty_value,
-                        quartic_size_penalty)
+from .structure import PathId, StructureParams, penalty_value, quartic_size_penalty
 
 log = logging.getLogger(__name__)
 
@@ -28,11 +27,8 @@ class EmConfig:
     cd_iterations: int = 3        # three to five sweeps suffice in practice
     batch_size: int = 32
     learning_rate: float = 0.01
-    optimizer: str = "adam"
     num_negatives: int = 100
     freeze_epoch: int = 2         # softmax output embeddings freeze from here
-    structure_weight: float = 1.0
-    softmax_weight: float = 1.0
 
     def __post_init__(self):
         if self.cd_iterations < 1:
@@ -40,7 +36,7 @@ class EmConfig:
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad epochs/batch_size")
         # Checked here too so that the CLI rejects them before training.
-        OptimizerState(self.learning_rate, kind=self.optimizer)
+        OptimizerState(self.learning_rate)
 
 
 class ScoreTable:
@@ -203,50 +199,6 @@ def coordinate_descent_assign(table: ScoreTable, num_items: int,
     return mapping
 
 
-def assignment_objective(table: ScoreTable, assignments, alpha: float) -> float:
-    """Penalized surrogate value sum_v N_v log sum_j s[v, pi_j(v)] minus the
-    path-size penalty (item-count constants dropped)."""
-    total = 0.0
-    sizes: dict = {}
-    for v, paths in enumerate(assignments):
-        entries = table.scores.get(v, {})
-        s_sum = sum(entries.get(tuple(p), 0.0) for p in paths)
-        total += table.count(v) * math.log(max(s_sum, PROB_FLOOR))
-        for p in paths:
-            p = tuple(p)
-            sizes[p] = sizes.get(p, 0) + 1
-    return total - alpha * sum(quartic_size_penalty(n) for n in sizes.values())
-
-
-def structure_log_likelihood(samples, mapping: ItemPathMapping,
-                             params: StructureParams) -> float:
-    """Exact multi-path log likelihood sum_i log sum_j p(pi_j(y_i) | x_i)."""
-    total = 0.0
-    for ctx, item in samples:
-        probs = [math.exp(path_log_prob(ctx, p, params))
-                 for p in mapping.assignments[item]]
-        total += math.log(max(sum(probs), PROB_FLOOR))
-    return total
-
-
-def surrogate_upper_bound(samples, mapping: ItemPathMapping,
-                          params: StructureParams) -> float:
-    """sum_v (N_v log sum_j s[v, pi_j(v)] - N_v log N_v) with exact scores
-    s[v,c] = sum over samples of item v of p(c | x_i)."""
-    s_sum: dict = {}
-    n_v: dict = {}
-    for ctx, item in samples:
-        n_v[item] = n_v.get(item, 0) + 1
-        for p in mapping.assignments[item]:
-            s_sum[(item, p)] = s_sum.get((item, p), 0.0) + \
-                math.exp(path_log_prob(ctx, p, params))
-    total = 0.0
-    for v, n in n_v.items():
-        s = sum(s_sum.get((v, p), 0.0) for p in mapping.assignments[v])
-        total += n * (math.log(max(s, PROB_FLOOR)) - math.log(n))
-    return total
-
-
 def em_epoch(samples, params: StructureParams, model: SoftmaxModel,
              mapping: ItemPathMapping, table: ScoreTable,
              opt_state: OptimizerState, em_cfg: EmConfig, epoch_index: int,
@@ -277,10 +229,7 @@ def em_epoch(samples, params: StructureParams, model: SoftmaxModel,
             l, _ = joint_loss(ctx, item, mapping, params, model,
                               penalty=penalty,
                               num_negatives=em_cfg.num_negatives,
-                              rng=rng_negatives,
-                              structure_weight=em_cfg.structure_weight,
-                              softmax_weight=em_cfg.softmax_weight,
-                              grads=grads)
+                              rng=rng_negatives, grads=grads)
             batch_loss += l
         n = len(idx)
         for name in grads:

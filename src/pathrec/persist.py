@@ -200,21 +200,44 @@ def load_checkpoint(directory) -> TrainedModel:
             f"manifest.json: missing or malformed entry ({exc!r})") from exc
 
 
+def _tensor_shapes(cfg: StructureConfig, num_items: int) -> dict:
+    """Name -> shape of every tensor a checkpoint of this config holds."""
+    E, K, H = cfg.emb_dim, cfg.num_nodes, cfg.mlp_hidden
+    shapes = {"item_emb": (num_items, E), "node_emb": (cfg.depth, K, E),
+              "out_emb": (num_items, E)}
+    for d in range(cfg.depth):
+        shapes.update({f"mlp{d}_w1": (H, E * (d + 1)), f"mlp{d}_b1": (H,),
+                       f"mlp{d}_w2": (K, H), f"mlp{d}_b2": (K,)})
+    return shapes
+
+
 def _load_verified(root: Path, manifest: dict) -> TrainedModel:
     for meta in list(manifest["tensors"].values()) + list(manifest["files"].values()):
         if _sha256(root / meta["file"]) != meta["sha256"]:
             raise CorruptionError(f"{meta['file']}: sha256 mismatch")
     cfg = StructureConfig(**manifest["config"])
+    num_items = manifest["num_items"]
+    if len(manifest["item_ids"]) != num_items:
+        raise CorruptionError(f"manifest.json: {len(manifest['item_ids'])} item ids "
+                              f"for {num_items} items")
     tensors = {name: read_tensor(root / meta["file"])
                for name, meta in manifest["tensors"].items()}
+    want = _tensor_shapes(cfg, num_items)
+    got = {name: arr.shape for name, arr in tensors.items()}
+    if got != want:
+        bad = sorted(n for n in want.keys() | got.keys() if got.get(n) != want.get(n))
+        raise CorruptionError(f"tensors {bad} do not have the shapes that the "
+                              f"config and {num_items} items imply")
     mlps = []
     for d in range(cfg.depth):
         mlps.append((AffineLayer(tensors[f"mlp{d}_w1"], tensors[f"mlp{d}_b1"]),
                      AffineLayer(tensors[f"mlp{d}_w2"], tensors[f"mlp{d}_b2"])))
-    params = StructureParams(cfg, manifest["num_items"], tensors["item_emb"],
+    params = StructureParams(cfg, num_items, tensors["item_emb"],
                              tensors["node_emb"], mlps)
     model = SoftmaxModel(tensors["out_emb"])
     mapping = read_mapping(root / manifest["files"]["mapping"]["file"])
+    if mapping.num_items != num_items:
+        raise CorruptionError(f"mapping.tsv: {mapping.num_items} rows for {num_items} items")
     table = read_scores(root / manifest["files"]["scores"]["file"])
     return TrainedModel(cfg=cfg, params=params, model=model, mapping=mapping,
                         table=table, item_ids=manifest["item_ids"])

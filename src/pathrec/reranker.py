@@ -29,8 +29,8 @@ class SoftmaxModel:
 
     @classmethod
     def init_random(cls, num_items: int, emb_dim: int,
-                    rng: np.random.Generator, scale: float = 0.1) -> "SoftmaxModel":
-        return cls(rng.normal(0.0, scale, size=(num_items, emb_dim)))
+                    rng: np.random.Generator) -> "SoftmaxModel":
+        return cls(rng.normal(0.0, 0.1, size=(num_items, emb_dim)))
 
     @property
     def num_items(self) -> int:
@@ -51,7 +51,7 @@ def sampled_softmax_loss(ctx: UserContext, positive: int, num_negatives: int,
                          model: SoftmaxModel, params: StructureParams,
                          rng: np.random.Generator | None = None,
                          negatives: np.ndarray | None = None,
-                         grads: dict | None = None, weight: float = 1.0):
+                         grads: dict | None = None):
     """Sampled-softmax cross entropy for one positive interaction.
 
     Negatives are uniform without replacement, excluding the positive, with
@@ -82,25 +82,20 @@ def sampled_softmax_loss(ctx: UserContext, positive: int, num_negatives: int,
         grads = {"out_emb": np.zeros_like(model.out_emb),
                  "item_emb": np.zeros_like(params.item_emb)}
     grads.setdefault("out_emb", np.zeros_like(model.out_emb))
-    np.add.at(grads["out_emb"], cand, weight * np.outer(dlogits, u))
+    np.add.at(grads["out_emb"], cand, np.outer(dlogits, u))
     items = _behavior_items(ctx)
     if items:
         du = model.out_emb[cand].T @ dlogits
         grads.setdefault("item_emb", np.zeros_like(params.item_emb))
-        np.add.at(grads["item_emb"], items, weight * du / len(items))
-    return weight * loss, grads
-
-
-#: Score arrays up to this size are fully sorted by `_top_k`; larger ones
-#: are first cut to a pool around the k-th score.
-FULL_SORT_MAX = 512
+        np.add.at(grads["item_emb"], items, du / len(items))
+    return loss, grads
 
 
 def _top_k(scores: np.ndarray, k: int, ids: np.ndarray | None = None) -> list:
     """The k best (item id, score) pairs, best first, ties toward the
     smaller id; `ids[i]` is the item id at position i (i itself when None)."""
     n = scores.size
-    if k < n and n > FULL_SORT_MAX:
+    if k < n:
         # Exact top-k without a full sort: keep everything at least as good
         # as the k-th score, then order that small subset.
         neg = -scores
@@ -145,7 +140,6 @@ def joint_loss(ctx: UserContext, item: int, mapping, params: StructureParams,
                model: SoftmaxModel, penalty: float,
                num_negatives: int = 100, rng: np.random.Generator | None = None,
                negatives: np.ndarray | None = None,
-               structure_weight: float = 1.0, softmax_weight: float = 1.0,
                grads: dict | None = None):
     """Multi-task objective: penalized structure loss plus softmax loss.
 
@@ -156,15 +150,7 @@ def joint_loss(ctx: UserContext, item: int, mapping, params: StructureParams,
     if grads is None:
         grads = params.zero_grads()
         grads["out_emb"] = np.zeros_like(model.out_emb)
-    loss = 0.0
-    if structure_weight != 0.0:
-        paths = mapping.assignments[item]
-        l_str, _ = multi_path_loss(ctx, paths, params, grads=grads,
-                                   weight=structure_weight)
-        loss += l_str + structure_weight * penalty
-    if softmax_weight != 0.0:
-        l_sm, _ = sampled_softmax_loss(ctx, item, num_negatives, model, params,
-                                       rng=rng, negatives=negatives,
-                                       grads=grads, weight=softmax_weight)
-        loss += l_sm
-    return loss, grads
+    l_str, _ = multi_path_loss(ctx, mapping.assignments[item], params, grads=grads)
+    l_sm, _ = sampled_softmax_loss(ctx, item, num_negatives, model, params,
+                                   rng=rng, negatives=negatives, grads=grads)
+    return l_str + penalty + l_sm, grads

@@ -104,10 +104,10 @@ class StructureParams:
 
     @classmethod
     def init_random(cls, cfg: StructureConfig, num_items: int,
-                    rng: np.random.Generator, scale: float = 0.1) -> "StructureParams":
+                    rng: np.random.Generator) -> "StructureParams":
         E, K, D, H = cfg.emb_dim, cfg.num_nodes, cfg.depth, cfg.mlp_hidden
-        item_emb = rng.normal(0.0, scale, size=(num_items, E))
-        node_emb = rng.normal(0.0, scale, size=(D, K, E))
+        item_emb = rng.normal(0.0, 0.1, size=(num_items, E))
+        node_emb = rng.normal(0.0, 0.1, size=(D, K, E))
         mlps = []
         for d in range(1, D + 1):
             in_dim = E * d
@@ -115,14 +115,6 @@ class StructureParams:
             w2 = rng.normal(0.0, math.sqrt(2.0 / H), size=(K, H))
             mlps.append((AffineLayer(w1, np.zeros(H)), AffineLayer(w2, np.zeros(K))))
         return cls(cfg, num_items, item_emb, node_emb, mlps)
-
-    @classmethod
-    def init_zero(cls, cfg: StructureConfig, num_items: int) -> "StructureParams":
-        E, K, D, H = cfg.emb_dim, cfg.num_nodes, cfg.depth, cfg.mlp_hidden
-        mlps = [(AffineLayer(np.zeros((H, E * d)), np.zeros(H)),
-                 AffineLayer(np.zeros((K, H)), np.zeros(K)))
-                for d in range(1, D + 1)]
-        return cls(cfg, num_items, np.zeros((num_items, E)), np.zeros((D, K, E)), mlps)
 
     def tensor_dict(self) -> dict:
         """Name -> array views over the live parameter storage."""
@@ -136,9 +128,6 @@ class StructureParams:
 
     def zero_grads(self) -> dict:
         return {name: np.zeros_like(arr) for name, arr in self.tensor_dict().items()}
-
-    def param_count(self) -> int:
-        return sum(arr.size for arr in self.tensor_dict().values())
 
 
 def user_embedding(ctx: UserContext, params: StructureParams) -> np.ndarray:
@@ -156,20 +145,12 @@ def _behavior_items(ctx: UserContext) -> list:
     return [i for i in ctx.behavior if i != PAD_ITEM]
 
 
-def layer_input(u: np.ndarray, prefix: PathId, params: StructureParams) -> np.ndarray:
-    """Concatenation of user embedding and chosen-node embeddings."""
-    parts = [u] + [params.node_emb[j, c] for j, c in enumerate(prefix)]
-    return np.concatenate(parts)
-
-
-def layer_logits(u: np.ndarray, prefix, params: StructureParams) -> np.ndarray:
-    hid, top = params.mlps[len(prefix)]
-    h = relu(affine_forward(hid, layer_input(u, tuple(prefix), params)))
-    return affine_forward(top, h)
-
-
 def layer_distribution(ctx: UserContext, prefix, params: StructureParams) -> np.ndarray:
-    """p(c_d | x, c_1..c_{d-1}) over the K nodes of layer d = len(prefix)+1."""
+    """p(c_d | x, c_1..c_{d-1}) over the K nodes of layer d = len(prefix)+1.
+
+    One prefix through a forward of its own rather than `_layer_forward`,
+    so that checks built on it stay independent of the batched code.
+    """
     cfg = params.cfg
     prefix = tuple(int(c) for c in prefix)
     if len(prefix) >= cfg.depth:
@@ -177,20 +158,10 @@ def layer_distribution(ctx: UserContext, prefix, params: StructureParams) -> np.
     for c in prefix:
         if not 0 <= c < cfg.num_nodes:
             raise ShapeError(f"prefix node {c} out of range")
-    u = user_embedding(ctx, params)
-    return softmax(layer_logits(u, prefix, params))
-
-
-def path_log_prob(ctx: UserContext, path, params: StructureParams) -> float:
-    """log p(c | x) = sum_d log p(c_d | x, c_1..c_{d-1})."""
-    cfg = params.cfg
-    path = validate_path(path, cfg)
-    u = user_embedding(ctx, params)
-    total = 0.0
-    for d in range(cfg.depth):
-        logp = log_softmax(layer_logits(u, path[:d], params))
-        total += float(logp[path[d]])
-    return total
+    x = np.concatenate([user_embedding(ctx, params)] +
+                       [params.node_emb[j, c] for j, c in enumerate(prefix)])
+    hid, top = params.mlps[len(prefix)]
+    return softmax(affine_forward(top, relu(affine_forward(hid, x))))
 
 
 def _layer_forward(u: np.ndarray, prefixes: np.ndarray, params: StructureParams):
@@ -220,11 +191,11 @@ def batched_layer_log_probs(u: np.ndarray, prefixes: np.ndarray,
 
 
 def multi_path_loss(ctx: UserContext, paths, params: StructureParams,
-                    grads: dict | None = None, weight: float = 1.0):
+                    grads: dict | None = None):
     """Negative log of the summed probability over an item's paths.
 
-    Returns (loss, grads); `grads` accumulates in place when supplied,
-    scaled by `weight`. Duplicate paths are collapsed before the sum.
+    Returns (loss, grads); `grads` accumulates in place when supplied.
+    Duplicate paths are collapsed before the sum.
     """
     cfg = params.cfg
     uniq = np.array(list(dict.fromkeys(validate_path(p, cfg) for p in paths)),
@@ -245,7 +216,7 @@ def multi_path_loss(ctx: UserContext, paths, params: StructureParams,
     m = np.max(logps)
     lse = m + math.log(np.sum(np.exp(logps - m)))
     loss = -lse
-    branch_w = np.exp(logps - lse) * weight     # softmax over path log-probs
+    branch_w = np.exp(logps - lse)     # softmax over path log-probs
 
     if grads is None:
         grads = params.zero_grads()
@@ -268,7 +239,7 @@ def multi_path_loss(ctx: UserContext, paths, params: StructureParams,
                       dx[:, E * (k + 1):E * (k + 2)])
     if items:
         np.add.at(grads["item_emb"], items, du / len(items))
-    return weight * loss, grads
+    return loss, grads
 
 
 def quartic_size_penalty(n: float) -> float:

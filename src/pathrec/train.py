@@ -33,7 +33,7 @@ def train_model(records, split: EvalSplit, cfg: StructureConfig,
     model = SoftmaxModel.init_random(num_items, cfg.emb_dim, rng_init)
     mapping = ItemPathMapping.random_init(cfg, num_items, substream(seed, "mapping"))
     table = ScoreTable(cfg.score_capacity)
-    opt_state = OptimizerState(em_cfg.learning_rate, kind=em_cfg.optimizer)
+    opt_state = OptimizerState(em_cfg.learning_rate)
 
     rng_negatives = substream(seed, "negatives")
     rng_shuffle = substream(seed, "shuffle")

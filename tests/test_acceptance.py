@@ -16,17 +16,17 @@ import numpy as np
 import pytest
 
 from pathrec.data import evaluate, make_split, preprocess, synth_clusters
-from pathrec.em import (EmConfig, ScoreTable, assignment_objective,
-                        coordinate_descent_assign, streaming_score_update,
-                        structure_log_likelihood, surrogate_upper_bound)
+from pathrec.em import (EmConfig, ScoreTable, coordinate_descent_assign,
+                        streaming_score_update)
 from pathrec.bench import run_bench, synthetic_model
 from pathrec.reranker import SoftmaxModel, joint_loss, sampled_softmax_loss
 from pathrec.retrieval import ItemPathMapping, beam_search
 from pathrec.seeding import substream
 from pathrec.structure import (StructureConfig, StructureParams, UserContext,
-                               layer_distribution, multi_path_loss,
-                               path_log_prob)
+                               layer_distribution, multi_path_loss)
 from pathrec.train import train_model
+from reference import (assignment_objective, structure_log_likelihood,
+                       surrogate_upper_bound)
 
 
 def report(name, ok, detail=""):

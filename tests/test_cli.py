@@ -168,6 +168,8 @@ def test_train_refuses_to_replace_other_files(corpus60, tmp_path):
     ({"training": {"learning_rate": 0}}, "learning_rate must be positive"),
     ({"structure": {"hidden_width": 0}}, "hidden_width must be >= 1"),
     ({"structure": {"hidden_width": -3}}, "hidden_width must be >= 1"),
+    ({"training": {"optimizer": "adam", "softmax_weight": 1.0, "structure_weight": 1.0}},
+     "unknown training keys ['optimizer', 'softmax_weight', 'structure_weight']"),
 ])
 def test_train_bad_config_file_is_usage_error(corpus60, tmp_path, config, message):
     config_path = tmp_path / "config.json"
@@ -178,6 +180,31 @@ def test_train_bad_config_file_is_usage_error(corpus60, tmp_path, config, messag
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert message in result.output
+    assert not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("retrieve", ["--user-seq", "1,2", "--beam", "0"], "'--beam': 0 is not in the range x>=1"),
+    ("retrieve", ["--user-seq", "1,2", "--beam", "-2"], "'--beam': -2 is not in the range x>=1"),
+    ("evaluate", ["--beam", "0"], "'--beam': 0 is not in the range x>=1"),
+    ("evaluate", ["--k", "0"], "'--k': 0 is not in the range x>=1"),
+    ("evaluate", ["--k", "101"], "k=101 exceeds corpus size 100"),
+    ("evaluate", ["--test-users", "100000"], "leave no training user among 120"),
+    ("train", ["--test-users", "100000"], "leave no training user among 120"),
+    ("train", ["--val-users", "-1"], "'--val-users': -1 is not in the range x>=0"),
+    ("bench", ["--synthetic-items", "-5"], "'--synthetic-items': -5 is not in the range x>=1"),
+])
+def test_bad_flag_value_is_usage_error(corpus, checkpoint, tmp_path, command, args, message):
+    source = {"retrieve": ["--checkpoint", str(checkpoint)],
+              "evaluate": ["--checkpoint", str(checkpoint), "--input", str(corpus)],
+              "train": ["--input", str(corpus), "--output", str(tmp_path / "ck"),
+                        "--negatives", "20"],
+              "bench": []}[command]
+    result = CliRunner().invoke(cli, [command] + source + args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    [error] = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert message in error
     assert not (tmp_path / "ck").exists()
 
 

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from pathrec.core import OptimizerState
 from pathrec.em import (EmConfig, ScoreTable, accumulate_scores,
-                        assignment_objective, coordinate_descent_assign,
-                        em_epoch, streaming_score_update,
-                        structure_log_likelihood, surrogate_upper_bound)
+                        coordinate_descent_assign, em_epoch,
+                        streaming_score_update)
 from pathrec.reranker import SoftmaxModel
 from pathrec.retrieval import ItemPathMapping
 from pathrec.seeding import substream
-from pathrec.structure import (StructureConfig, StructureParams, UserContext,
-                               path_log_prob)
+from pathrec.structure import StructureConfig, StructureParams, UserContext
+from reference import (assignment_objective, path_log_prob,
+                       structure_log_likelihood, surrogate_upper_bound)
 
 A, B, C = (0, 0), (0, 1), (1, 0)
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -199,6 +201,67 @@ def test_checkpoint_manifest_missing_key_is_corruption(tmp_path, key):
     del manifest[key]
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(CorruptionError, match=key):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def _fix_sha256(ckpt, rel):
+    manifest_path = ckpt / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for meta in [*manifest["tensors"].values(), *manifest["files"].values()]:
+        if meta["file"] == rel:
+            meta["sha256"] = hashlib.sha256((ckpt / rel).read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _edit_manifest(ckpt, change):
+    manifest_path = ckpt / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    change(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _extra_mapping_rows(ckpt):
+    with open(ckpt / "mapping.tsv", "a") as f:
+        f.writelines(f"{v}\t0-0;1-1\n" for v in range(12, 15))
+    _fix_sha256(ckpt, "mapping.tsv")
+
+
+def _missing_mapping_row(ckpt):
+    path = ckpt / "mapping.tsv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    _fix_sha256(ckpt, "mapping.tsv")
+
+
+def _rewrite_tensor(name, shape):
+    def damage(ckpt):
+        write_tensor(ckpt / "tensors" / f"{name}.bin", np.zeros(shape))
+        _fix_sha256(ckpt, f"tensors/{name}.bin")
+    return damage
+
+
+def _extra_tensor(ckpt):
+    _edit_manifest(ckpt, lambda m: m["tensors"].update(bogus=m["tensors"]["item_emb"]))
+
+
+# Each damage leaves every sha256 right, so only the parts' agreement is wrong.
+@pytest.mark.parametrize("damage, message", [
+    (_extra_mapping_rows, "mapping.tsv: 15 rows for 12 items"),
+    (_missing_mapping_row, "mapping.tsv: 11 rows for 12 items"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m["item_ids"].pop()),
+     "11 item ids for 12 items"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(num_items=13)),
+     "12 item ids for 13 items"),
+    (_rewrite_tensor("out_emb", (13, 4)), "tensors ['out_emb']"),
+    (_rewrite_tensor("item_emb", (12, 5)), "tensors ['item_emb']"),
+    (_rewrite_tensor("mlp1_w1", (12, 4)), "tensors ['mlp1_w1']"),
+    (_rewrite_tensor("node_emb", (3, 3, 4)), "tensors ['node_emb']"),
+    (_extra_tensor, "tensors ['bogus']"),
+], ids=["extra_rows", "missing_row", "short_item_ids", "num_items", "out_emb_rows",
+        "item_emb_width", "mlp_in_width", "node_emb_depth", "extra_tensor"])
+def test_checkpoint_parts_must_agree(tmp_path, damage, message):
+    save_checkpoint(tmp_path / "ckpt", make_trained())
+    damage(tmp_path / "ckpt")
+    with pytest.raises(CorruptionError, match=re.escape(message)):
         load_checkpoint(tmp_path / "ckpt")
 
 

