@@ -35,6 +35,8 @@ class BenchReport:
     structure: MethodTiming
     brute_force: MethodTiming
     speedup: float        # brute-force mean / structure mean
+    speedup_median: float  # brute-force median / structure median
+    speedup_p99: float    # brute-force p99 / structure p99
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -92,6 +94,6 @@ def run_bench(trained: TrainedModel, num_queries: int, k: int,
     results = {}
     for name, fn in (("structure", dr_query), ("brute_force", bf_query)):
         results[name] = _timing(np.array([time_one(fn, b) for b in queries]))
-    speedup = results["brute_force"].mean_ms / results["structure"].mean_ms
-    return BenchReport(V, k, B, num_queries,
-                       results["structure"], results["brute_force"], speedup)
+    dr, bf = results["structure"], results["brute_force"]
+    return BenchReport(V, k, B, num_queries, dr, bf, bf.mean_ms / dr.mean_ms,
+                       bf.median_ms / dr.median_ms, bf.p99_ms / dr.p99_ms)

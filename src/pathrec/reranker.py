@@ -121,17 +121,19 @@ def brute_force_retrieve(ctx: UserContext, model: SoftmaxModel,
 
 
 def rerank(items, ctx: UserContext, model: SoftmaxModel,
-           params: StructureParams, k: int) -> list:
+           params: StructureParams, k: int, u: np.ndarray | None = None) -> list:
     """Top-k (item, score) of the candidate item ids by softmax score.
 
     `items` is a 1-D array of item ids, such as `retrieve_candidates(...)
     ["item"]`. Ties go toward the smaller item id; returns every candidate
-    when k exceeds the candidate count.
+    when k exceeds the candidate count. `u` is the user's embedding when
+    the caller has it.
     """
     items = np.asarray(items, dtype=np.int64)
     if items.ndim != 1 or items.size == 0:
         raise ValueError("candidates must be a non-empty 1-D array of item ids")
-    u = user_embedding(ctx, params)
+    if u is None:
+        u = user_embedding(ctx, params)
     scores = np.take(model.out_emb, items, axis=0) @ u
     return _top_k(scores, k, items)
 

@@ -37,6 +37,16 @@ class ItemPathMapping:
         """Items per non-empty path; an item counts once per assigned path."""
         return {path: len(items) for path, items in self.inverted.items()}
 
+    @functools.cached_property
+    def size_sums(self) -> np.ndarray:
+        """Entry B is the total size of the B largest paths, from 0 at B = 0
+        to every assignment at B = the number of non-empty paths."""
+        sizes = np.fromiter(map(len, self.inverted.values()), np.int64,
+                            len(self.inverted))
+        sums = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(np.sort(sizes)[::-1], out=sums[1:])
+        return sums
+
     @classmethod
     def random_init(cls, cfg: StructureConfig, num_items: int,
                     rng: np.random.Generator) -> "ItemPathMapping":
@@ -58,22 +68,28 @@ class ItemPathMapping:
 
 
 def beam_search(ctx: UserContext, params: StructureParams,
-                beam_size: int | None = None) -> list:
+                beam_size: int | None = None, u: np.ndarray | None = None,
+                memo: _LayerMemo | None = None) -> list:
     """Top-B paths by log-probability, sorted descending.
 
     Per layer, expands the current beam to all K successors and keeps the
     top B; ties broken toward the lexicographically smaller path. With
-    B >= K^D this is exhaustive enumeration.
+    B >= K^D this is exhaustive enumeration. `u` is the user's embedding
+    when the caller has it; `memo` scores the layers in its place.
     """
     cfg = params.cfg
     B = cfg.beam_size if beam_size is None else int(beam_size)
     if B < 1:
         raise ValueError("beam_size must be >= 1")
-    u = user_embedding(ctx, params)
+    if u is None:
+        u = user_embedding(ctx, params)
     prefixes = np.zeros((1, 0), dtype=np.int64)
     logps = np.zeros(1)
     for d in range(cfg.depth):
-        layer_lp = batched_layer_log_probs(u, prefixes, params)      # (n, K)
+        if memo is None:
+            layer_lp = batched_layer_log_probs(u, prefixes, params)  # (n, K)
+        else:
+            layer_lp = memo.log_probs(prefixes)
         neg = (-logps[:, None] - layer_lp).ravel()
         n, K = layer_lp.shape
         need = min(B, neg.size)
@@ -109,17 +125,22 @@ DICT_WALK_MAX = 256
 
 
 def retrieve_candidates(ctx: UserContext, params: StructureParams,
-                        mapping: ItemPathMapping,
-                        beam_size: int | None = None) -> np.ndarray:
+                        mapping: ItemPathMapping, beam_size: int | None = None,
+                        u: np.ndarray | None = None) -> np.ndarray:
     """Deduplicated items on the beam-retrieved paths, as a CANDIDATE_DTYPE
     array with fields `item` and `logp`.
 
     An item reached via several paths is scored by its maximum path
     log-probability; sorted descending, ties toward the smaller item id.
     `len()` is the candidate count, entries unpack as (item, logp), and
-    `.tolist()` gives those pairs.
+    `.tolist()` gives those pairs. `u` is the user's embedding when the
+    caller has it.
     """
-    beam = beam_search(ctx, params, beam_size)
+    return _expand(beam_search(ctx, params, beam_size, u), mapping)
+
+
+def _expand(beam: list, mapping: ItemPathMapping) -> np.ndarray:
+    """`retrieve_candidates`' array for a beam of (path, log-prob) pairs."""
     # The beam comes best first, so an item's best log-prob is that of the
     # first path holding it. The walk gives up once it has seen more than
     # DICT_WALK_MAX entries, and the array path below takes over.
@@ -165,21 +186,72 @@ def retrieve_candidates(ctx: UserContext, params: StructureParams,
 ADAPTIVE_MULTIPLIER = 5
 
 
+class _LayerMemo:
+    """One user's layer log-prob rows, each scored once across beam widths.
+
+    Per layer it keeps the prefixes scored so far and their (n, K) rows. A
+    lookup keys prefixes by their base-K integer codes, scores the missing
+    ones in one `batched_layer_log_probs` call and gathers the rest by
+    index. A layer's first lookup only records what it scores.
+    """
+
+    def __init__(self, u: np.ndarray, params: StructureParams):
+        self.u, self.params = u, params
+        # Per layer d: the (m, d) prefixes scored so far and their (m, K) rows.
+        self.prefixes = [None] * params.cfg.depth
+        self.rows = [None] * params.cfg.depth
+
+    def log_probs(self, prefixes: np.ndarray) -> np.ndarray:
+        d = prefixes.shape[1]
+        rows = self.rows[d]
+        if rows is None:
+            rows = batched_layer_log_probs(self.u, prefixes, self.params)
+            self.prefixes[d], self.rows[d] = prefixes, rows
+            return rows
+        w = self.params.cfg.num_nodes ** np.arange(d - 1, -1, -1)
+        known, codes = self.prefixes[d] @ w, prefixes @ w
+        order = np.argsort(known)
+        # A code past every known one is clamped onto the last; it and any
+        # other unknown code then differ from the code found.
+        at = order[np.minimum(np.searchsorted(known, codes, sorter=order),
+                               known.size - 1)]
+        new = known[at] != codes
+        out = rows[at]
+        if new.any():
+            fresh = batched_layer_log_probs(self.u, prefixes[new], self.params)
+            out[new] = fresh
+            self.prefixes[d] = np.concatenate([self.prefixes[d], prefixes[new]])
+            self.rows[d] = np.concatenate([rows, fresh])
+        return out
+
+
 def adaptive_beam(ctx: UserContext, params: StructureParams,
-                  mapping: ItemPathMapping, target_count: int) -> tuple:
+                  mapping: ItemPathMapping, target_count: int,
+                  u: np.ndarray | None = None) -> tuple:
     """Grow the beam geometrically until enough candidates are retrieved.
 
-    Doubles B until the candidate count reaches ADAPTIVE_MULTIPLIER times
-    `target_count` or the beam covers every path. Returns (candidates, B),
-    where `candidates` is the `retrieve_candidates` array at that B.
+    Doubles B from 1 until the candidate count reaches ADAPTIVE_MULTIPLIER
+    times `target_count` or the beam covers every path. Returns
+    (candidates, B), where `candidates` is the `retrieve_candidates` array
+    at that B. `u` is the user's embedding when the caller has it.
+
+    A B-path beam retrieves at most the items on the B largest paths, so
+    widths whose bound falls short are skipped unscored. The widths that
+    run share one memo of layer rows, so each prefix is scored once.
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
     cfg = params.cfg
     want = ADAPTIVE_MULTIPLIER * target_count
+    sums = mapping.size_sums
     B = 1
+    while B < cfg.num_paths and sums[min(B, sums.size - 1)] < want:
+        B = min(2 * B, cfg.num_paths)
+    if u is None:
+        u = user_embedding(ctx, params)
+    memo = _LayerMemo(u, params)
     while True:
-        candidates = retrieve_candidates(ctx, params, mapping, beam_size=B)
+        candidates = _expand(beam_search(ctx, params, B, u, memo), mapping)
         if len(candidates) >= want or B >= cfg.num_paths:
             return candidates, B
         B = min(2 * B, cfg.num_paths)

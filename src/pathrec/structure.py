@@ -38,6 +38,8 @@ class StructureConfig:
     def __post_init__(self):
         if self.num_nodes < 1 or self.depth < 1 or self.paths_per_item < 1:
             raise ValueError("num_nodes, depth and paths_per_item must be >= 1")
+        if self.num_paths >= 2**63:
+            raise ValueError("num_nodes**depth must be below 2**63")
         if self.paths_per_item > self.num_paths:
             raise ValueError("paths_per_item exceeds the number of possible paths")
         if self.beam_size < 1:

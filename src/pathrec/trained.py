@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import retrieval
 from .em import ScoreTable
 from .reranker import SoftmaxModel, brute_force_retrieve, rerank
 from .retrieval import ItemPathMapping, adaptive_beam, retrieve_candidates
@@ -33,16 +34,20 @@ class TrainedModel:
         """Structure retrieval: beam search, inverted index, softmax rerank.
 
         Returns (internal item index, score) pairs. With `adaptive`, the
-        beam grows until the candidate pool is 5x the requested k."""
+        beam grows until the candidate pool is 5x the requested k. The user
+        is encoded once, for every beam width and the rerank."""
         ctx = self.context(behavior_items)
+        # Looked up through `retrieval`, where perfbench/tracing.py counts
+        # the encodings of a structure query.
+        u = retrieval.user_embedding(ctx, self.params)
         if adaptive:
-            candidates, _ = adaptive_beam(ctx, self.params, self.mapping, k)
+            candidates, _ = adaptive_beam(ctx, self.params, self.mapping, k, u=u)
         else:
             candidates = retrieve_candidates(ctx, self.params, self.mapping,
-                                             beam_size=beam_size)
+                                             beam_size=beam_size, u=u)
         if len(candidates) == 0:
             return []
-        return rerank(candidates["item"], ctx, self.model, self.params, k)
+        return rerank(candidates["item"], ctx, self.model, self.params, k, u=u)
 
     def retrieve_brute_force(self, behavior_items, k: int) -> list:
         ctx = self.context(behavior_items)

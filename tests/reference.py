@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from pathrec.core import PROB_FLOOR, AffineLayer, affine_forward, log_softmax, relu
+from pathrec.retrieval import ADAPTIVE_MULTIPLIER, retrieve_candidates
 from pathrec.structure import (StructureParams, quartic_size_penalty,
                                user_embedding, validate_path)
 
@@ -90,3 +91,16 @@ def surrogate_upper_bound(samples, mapping, params) -> float:
         s = sum(s_sum.get((v, p), 0.0) for p in mapping.assignments[v])
         total += n * (math.log(max(s, PROB_FLOOR)) - math.log(n))
     return total
+
+
+def adaptive_beam(ctx, params, mapping, target_count: int) -> tuple:
+    """Every width B = 1, 2, 4, ... (capped at K^D) retrieved from scratch
+    until the candidates reach ADAPTIVE_MULTIPLIER * `target_count` or the
+    beam covers every path; returns (candidates, B)."""
+    num_paths = params.cfg.num_paths
+    B = 1
+    while True:
+        candidates = retrieve_candidates(ctx, params, mapping, beam_size=B)
+        if len(candidates) >= ADAPTIVE_MULTIPLIER * target_count or B >= num_paths:
+            return candidates, B
+        B = min(2 * B, num_paths)

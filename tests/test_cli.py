@@ -240,8 +240,10 @@ def test_bench_synthetic_smoke_schema():
         timing = event[method]
         assert timing["mean_ms"] > 0
         assert timing["median_ms"] <= timing["p99_ms"]
-    assert event["speedup"] == pytest.approx(
-        event["brute_force"]["mean_ms"] / event["structure"]["mean_ms"])
+    for key, stat in (("speedup", "mean_ms"), ("speedup_median", "median_ms"),
+                      ("speedup_p99", "p99_ms")):
+        assert event[key] == pytest.approx(
+            event["brute_force"][stat] / event["structure"][stat])
 
 
 def test_bench_k_exceeding_corpus_is_usage_error():

@@ -4,15 +4,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from pathrec import retrieval
+from pathrec.em import ScoreTable, coordinate_descent_assign
+from pathrec.persist import read_mapping, write_mapping
+from pathrec.reranker import SoftmaxModel, rerank
 from pathrec.retrieval import (ItemPathMapping, adaptive_beam, beam_search,
                                retrieve_candidates)
 from pathrec.seeding import substream
 from pathrec.structure import (StructureConfig, StructureParams, UserContext,
                                layer_distribution)
+from pathrec.trained import TrainedModel
 from reference import init_zero, path_log_prob
 
 
@@ -194,16 +199,21 @@ def test_adaptive_beam_small_corpus_returns_everything():
 
 
 def test_adaptive_beam_growth_matches_uniform_path_sizes():
-    # 64 singleton-path items spread uniformly: candidate count == B, so the
-    # final beam is the first power of two >= 5 * target.
+    # 64 singleton-path items spread uniformly: a B-path beam holds B
+    # candidates, so the first width run is also the last: the first power
+    # of two >= 5 * target, capped at K^D.
     cfg = make_cfg(K=4, D=3, J=1, beam_size=1)
     params = random_params(cfg, num_items=64, seed=12)
     paths = list(itertools.product(range(4), repeat=3))
     mapping = ItemPathMapping.from_assignments([(p,) for p in paths])
-    candidates, B = adaptive_beam(UserContext((1,)), params, mapping,
-                                  target_count=5)
-    assert B == 32      # smallest power of two >= 25
-    assert len(candidates) >= 25
+    for target, width in ((1, 8), (2, 16), (5, 32), (7, 64), (13, 64)):
+        with mock.patch.object(retrieval, "beam_search",
+                               wraps=retrieval.beam_search) as traced:
+            candidates, B = adaptive_beam(UserContext((1,)), params, mapping,
+                                          target_count=target)
+        assert [call.args[2] for call in traced.call_args_list] == [width]
+        assert B == width
+        assert len(candidates) == width
 
 
 def test_adaptive_beam_rejects_bad_target():
@@ -212,3 +222,85 @@ def test_adaptive_beam_rejects_bad_target():
     mapping = ItemPathMapping.random_init(cfg, 10, substream(5, "mapping"))
     with pytest.raises(ValueError):
         adaptive_beam(UserContext((1,)), params, mapping, target_count=0)
+
+
+def test_size_sums_are_sorted_size_cumsums(tmp_path):
+    cfg = make_cfg(K=3, D=2, J=2)
+    drawn = ItemPathMapping.random_init(cfg, 30, substream(6, "mapping"))
+    write_mapping(tmp_path / "mapping.tsv", drawn)
+    rng = np.random.default_rng(7)
+    table = ScoreTable(4)
+    for v in range(12):
+        table.scores[v] = {(int(a), int(b)): float(rng.random())
+                           for a, b in rng.integers(0, 3, size=(4, 2))}
+        table.counts[v] = float(rng.integers(1, 10))
+    assigned = coordinate_descent_assign(table, 12, 3, 2, 0.1, 2, 3,
+                                         substream(3, "cd"))
+    for mapping in (drawn, read_mapping(tmp_path / "mapping.tsv"), assigned):
+        sizes = sorted(mapping.path_sizes.values(), reverse=True)
+        assert mapping.size_sums.tolist() == [0] + list(itertools.accumulate(sizes))
+
+
+def test_adaptive_beam_scores_each_prefix_once():
+    # 40 items on the last path and one on each other path: the bound allows
+    # B = 1, and the beam widens until it reaches the heavy path.
+    cfg = make_cfg(K=4, D=3, J=1, beam_size=1)
+    paths = list(itertools.product(range(4), repeat=3))
+    mapping = ItemPathMapping.from_assignments(
+        [(paths[-1],)] * 40 + [(p,) for p in paths[:-1]])
+    params = random_params(cfg, num_items=mapping.num_items, seed=15)
+    with mock.patch.object(retrieval, "beam_search",
+                           wraps=retrieval.beam_search) as beams, \
+         mock.patch.object(retrieval, "batched_layer_log_probs",
+                           wraps=retrieval.batched_layer_log_probs) as layers:
+        adaptive_beam(UserContext((2,)), params, mapping, target_count=7)
+    assert beams.call_count >= 3
+    scored = [tuple(p) for call in layers.call_args_list
+              for p in call.args[1].tolist()]
+    assert len(scored) == len(set(scored))
+
+
+MAPPINGS = ("random", "singleton", "uniform", "heavy")
+
+
+def make_mapping(kind, cfg, per, seed):
+    """`random`: J random paths per item; `singleton`: one item per path;
+    `uniform`: `per` items on every path; `heavy`: most items on one path."""
+    paths = list(itertools.product(range(cfg.num_nodes), repeat=cfg.depth))
+    if kind == "random":
+        return ItemPathMapping.random_init(cfg, 6 * per, substream(seed, "mapping"))
+    if kind == "singleton":
+        return ItemPathMapping.from_assignments([(p,) for p in paths])
+    if kind == "uniform":
+        return ItemPathMapping.from_assignments([(p,) for p in paths
+                                                 for _ in range(per)])
+    rng = np.random.default_rng(seed)
+    rest = rng.integers(0, len(paths), size=per)
+    return ItemPathMapping.from_assignments(
+        [(paths[0],)] * (4 * per) + [(paths[i],) for i in rest])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.sampled_from(MAPPINGS),
+       st.integers(1, 5), st.integers(1, 40), st.booleans(), st.integers(0, 500))
+# Four paths of five items hold exactly 5 * 4 candidates: B = 4 suffices.
+@example(K=4, D=2, kind="uniform", per=5, target=4, tied=False, seed=0)
+def test_adaptive_beam_matches_reference(K, D, kind, per, target, tied, seed):
+    J = 1 if kind != "random" else min(2, K**D)
+    cfg = make_cfg(K=K, D=D, J=J, beam_size=1)
+    mapping = make_mapping(kind, cfg, per, seed)
+    V = mapping.num_items
+    # Zero parameters make every path tie; random ones rarely do.
+    params = init_zero(cfg, V) if tied else random_params(cfg, num_items=V, seed=seed)
+    model = TrainedModel(cfg, params,
+                         SoftmaxModel.init_random(V, cfg.emb_dim, substream(seed, "sm")),
+                         mapping, ScoreTable(cfg.score_capacity), list(range(V)))
+    behavior = substream(seed, "ctx").integers(0, V, size=3).tolist()
+    ctx = model.context(behavior)
+    got, B = adaptive_beam(ctx, params, mapping, target)
+    want, want_B = reference.adaptive_beam(ctx, params, mapping, target)
+    assert B == want_B
+    assert got["item"].tolist() == want["item"].tolist()
+    np.testing.assert_allclose(got["logp"], want["logp"], rtol=0, atol=1e-12)
+    assert model.retrieve(behavior, target, adaptive=True) == \
+        rerank(want["item"], ctx, model.model, params, target)

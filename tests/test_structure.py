@@ -47,6 +47,10 @@ def test_config_validation():
             make_cfg(hidden_width=width)
     assert make_cfg(hidden_width=1).mlp_hidden == 1
     assert make_cfg(hidden_width=None).mlp_hidden == 12
+    # Path codes are int64: K^D must stay below 2**63.
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        make_cfg(K=2, D=63)
+    assert make_cfg(K=2, D=62, beam_size=1).num_paths == 2**62
 
 
 def test_user_embedding_empty_is_zero():
