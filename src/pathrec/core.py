@@ -49,7 +49,9 @@ def affine_forward(layer: AffineLayer, x: np.ndarray) -> np.ndarray:
     """W x + b. Supports a single vector (in,) or a batch (n, in)."""
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(f"input width {x.shape[-1]} != layer in_dim {layer.in_dim}")
-    return x @ layer.weight.T + layer.bias
+    out = x @ layer.weight.T
+    out += layer.bias          # in place: a batch needs one output array, not two
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -75,7 +77,19 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     if logits.size == 0:
         raise ShapeError("log_softmax of empty input")
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted -= np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted
+
+
+def scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """target[rows[i]] += values[i] for every i, rows repeating allowed.
+
+    As `np.add.at(target, rows, values)` for a 2-D target, summing each
+    row's values in the same order, but as one weighted `bincount` per
+    column, which is several times faster.
+    """
+    for j in range(target.shape[1]):
+        target[:, j] += np.bincount(rows, weights=values[:, j], minlength=target.shape[0])
 
 
 @dataclass
@@ -96,9 +110,14 @@ class OptimizerState:
 
 
 def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> None:
-    """Apply one update in place. `params` and `grads` are name -> array."""
+    """Apply one update in place. `params` and `grads` are name -> array.
+
+    The moments update in place and each tensor needs two temporaries; the
+    operations and their order are those of the textbook formula, so the
+    result is the same to the bit.
+    """
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             bad = int(np.sum(~np.isfinite(g)))
             raise NonFiniteGradError(f"{bad} non-finite gradient entries in {name!r}")
         if params[name].shape != g.shape:
@@ -106,16 +125,25 @@ def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> None:
                              f"{params[name].shape} for {name!r}")
     state.step += 1
     t = state.step
+    b1, b2 = state.beta1, state.beta2
     for name, g in grads.items():
         if name not in state.m:
             state.m[name] = np.zeros_like(params[name])
             state.v[name] = np.zeros_like(params[name])
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1 - state.beta1) * g
-        v *= state.beta2
-        v += (1 - state.beta2) * np.square(g)
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        params[name] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        scratch = np.multiply(g, 1 - b1)
+        m *= b1
+        m += scratch
+        np.square(g, out=scratch)
+        scratch *= 1 - b2
+        v *= b2
+        v += scratch
+        # scratch = sqrt(v_hat) + eps; step = lr * m_hat / scratch
+        np.divide(v, 1 - b2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        step = np.divide(m, 1 - b1**t)
+        step *= state.learning_rate
+        step /= scratch
+        params[name] -= step

@@ -6,14 +6,18 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PROB_FLOOR, OptimizerState, optimizer_step
 from .reranker import SoftmaxModel, joint_loss
-from .retrieval import ItemPathMapping, beam_search
-from .structure import PathId, StructureParams, penalty_value, quartic_size_penalty
+from .retrieval import ItemPathMapping, batched_beam_search
+# Score accumulation runs `batched_beam_search`, but `beam_search` stays
+# importable from here: perfbench/tracing.py wraps it in this module by name.
+from .retrieval import beam_search  # noqa: F401
+from .structure import PathId, StructureParams, UserBatch, penalty_value, quartic_size_penalty
 
 log = logging.getLogger(__name__)
 
@@ -87,14 +91,22 @@ def streaming_score_update(table: ScoreTable, item: int, new_scores, eta: float)
 
 def accumulate_scores(batch, params: StructureParams, table: ScoreTable) -> None:
     """Fold per-sample path probabilities of the top table-capacity beam
-    paths into the table and bump the decayed occurrence counts."""
+    paths into the table and bump the decayed occurrence counts.
+
+    One beam search runs over all the batch's users; the table then takes
+    the samples in order, so an item seen twice is merged twice.
+    """
+    batch = list(batch)
+    if not batch:
+        return
     cfg = params.cfg
-    width = min(table.capacity, cfg.num_paths)
     eta = cfg.decay_eta
-    for ctx, item in batch:
-        paths = beam_search(ctx, params, beam_size=width)
-        new_scores = [(path, math.exp(lp)) for path, lp in paths]
-        streaming_score_update(table, item, new_scores, eta)
+    users = UserBatch([ctx for ctx, _ in batch], params)
+    paths, logps = batched_beam_search(users.u, params,
+                                       min(table.capacity, cfg.num_paths))
+    for (_, item), user_paths, scores in zip(batch, paths.tolist(),
+                                             np.exp(logps).tolist()):
+        streaming_score_update(table, item, zip(user_paths, scores), eta)
         table.counts[item] = eta * table.counts.get(item, 0.0) + 1.0
 
 
@@ -207,52 +219,69 @@ def em_epoch(samples, params: StructureParams, model: SoftmaxModel,
              rng_mapping: np.random.Generator):
     """One E-step pass over the samples plus one coordinate-descent M-step.
 
-    Returns (new mapping, stats dict). Scores are accumulated alongside the
-    gradient pass on the evolving parameters and the table is carried across
-    epochs with decay.
+    Each minibatch runs as one batched pass: the joint loss and its
+    gradients, one optimizer step, then score accumulation on the updated
+    parameters. The table is carried across epochs with decay. Returns
+    (new mapping, stats dict); the stats include the EM health signals and
+    the wall seconds of each stage.
     """
+    t_epoch = time.perf_counter()
     cfg = params.cfg
     freeze = epoch_index >= em_cfg.freeze_epoch
     order = rng_shuffle.permutation(len(samples))
     tensors = params.tensor_dict()
     tensors["out_emb"] = model.out_emb
     losses = []
+    stage_s = dict.fromkeys(("e_step_s", "optimizer_s", "score_s", "m_step_s"), 0.0)
     # The mapping is fixed during the E-step, and so is its penalty.
     penalty = penalty_value(mapping, cfg.penalty_alpha)
     for start in range(0, len(order), em_cfg.batch_size):
-        idx = order[start:start + em_cfg.batch_size]
+        batch = [samples[i] for i in order[start:start + em_cfg.batch_size]]
+        n = len(batch)
+        t0 = time.perf_counter()
         grads = params.zero_grads()
-        grads["out_emb"] = np.zeros_like(model.out_emb)
-        batch_loss = 0.0
-        for i in idx:
-            ctx, item = samples[i]
-            l, _ = joint_loss(ctx, item, mapping, params, model,
-                              penalty=penalty,
-                              num_negatives=em_cfg.num_negatives,
-                              rng=rng_negatives, grads=grads)
-            batch_loss += l
-        n = len(idx)
+        if not freeze:      # frozen: the shared encoder still trains
+            grads["out_emb"] = np.zeros_like(model.out_emb)
+        batch_losses, _ = joint_loss([ctx for ctx, _ in batch],
+                                     [item for _, item in batch], mapping,
+                                     params, model, penalty=penalty,
+                                     num_negatives=em_cfg.num_negatives,
+                                     rng=rng_negatives, grads=grads)
         for name in grads:
             grads[name] /= n
-        if freeze:      # the shared encoder still trains
-            del grads["out_emb"]
+        t1 = time.perf_counter()
         optimizer_step(tensors, grads, opt_state)
-        losses.append(batch_loss / n)
-        accumulate_scores((samples[i] for i in idx), params, table)
+        t2 = time.perf_counter()
+        losses.append(float(np.sum(batch_losses)) / n)
+        accumulate_scores(batch, params, table)
+        t3 = time.perf_counter()
+        stage_s["e_step_s"] += t1 - t0
+        stage_s["optimizer_s"] += t2 - t1
+        stage_s["score_s"] += t3 - t2
+    t0 = time.perf_counter()
     new_mapping = coordinate_descent_assign(
         table, mapping.num_items, cfg.num_nodes, cfg.depth, cfg.penalty_alpha,
         cfg.paths_per_item, em_cfg.cd_iterations, rng_mapping,
         prev_mapping=mapping)
+    stage_s["m_step_s"] = time.perf_counter() - t0
     sizes = sorted(new_mapping.path_sizes.values(), reverse=True)
+    num_items = mapping.num_items
+    changed = sum(set(old) != set(new) for old, new in
+                  zip(mapping.assignments, new_mapping.assignments))
     stats = {
         "epoch": epoch_index,
         "mean_loss": float(np.mean(losses)) if losses else 0.0,
         "batch_losses": [float(x) for x in losses],
+        "penalty": penalty,
         "top_path_size": sizes[0] if sizes else 0,
         "nonempty_paths": len(sizes),
         "path_size_histogram": _histogram(sizes),
+        "cold_items": sum(1 for v in range(num_items) if not table.scores.get(v)),
+        "mapping_churn": changed / num_items if num_items else 0.0,
         "softmax_frozen": freeze,
+        **stage_s,
     }
+    stats["seconds"] = time.perf_counter() - t_epoch
     return new_mapping, stats
 
 

@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .core import ShapeError, log_softmax
-from .structure import StructureParams, UserContext, multi_path_loss
-from .structure import _behavior_items, user_embedding
+from .core import ShapeError, log_softmax, scatter_add_rows
+from .structure import StructureParams, UserBatch, UserContext, multi_path_loss
+from .structure import user_embedding
 # em_epoch computes the penalty, but `penalty_value` stays importable from
 # here: perfbench/tracing.py wraps it in this module by name.
 from .structure import penalty_value  # noqa: F401
@@ -47,48 +47,53 @@ def sample_negatives(num_items: int, positive: int, count: int,
     return idx
 
 
-def sampled_softmax_loss(ctx: UserContext, positive: int, num_negatives: int,
+def sampled_softmax_loss(users: UserBatch, positives, num_negatives: int,
                          model: SoftmaxModel, params: StructureParams,
                          rng: np.random.Generator | None = None,
                          negatives: np.ndarray | None = None,
                          grads: dict | None = None):
-    """Sampled-softmax cross entropy for one positive interaction.
+    """Sampled-softmax cross entropy for each user's positive item.
 
     Negatives are uniform without replacement, excluding the positive, with
     a log-q logit correction; with num_negatives = V-1 this is exactly the
-    full softmax cross entropy. Gradients reach both the output embeddings
-    and, through the shared user encoder, the structure item embeddings.
+    full softmax cross entropy. `negatives` is (n, N); when it is None,
+    each user's N are drawn from `rng` in turn. Returns (losses, grads):
+    losses is (n,), and `grads` accumulates the gradient of their sum. It
+    reaches the output embeddings, unless `grads` has no "out_emb" entry
+    (a frozen softmax), and, through the shared user encoder, the structure
+    item embeddings.
     """
     V = model.num_items
+    positives = np.asarray(positives, dtype=np.int64)
+    n = positives.shape[0]
     if negatives is None:
         if rng is None:
             raise ValueError("either negatives or rng must be supplied")
-        negatives = sample_negatives(V, positive, num_negatives, rng)
+        negatives = np.array([sample_negatives(V, int(p), num_negatives, rng)
+                              for p in positives]).reshape(n, num_negatives)
     else:
         negatives = np.asarray(negatives, dtype=np.int64)
-    n_neg = negatives.shape[0]
-    cand = np.concatenate([[positive], negatives])
-    u = user_embedding(ctx, params)
-    logits = model.out_emb[cand] @ u
+        if negatives.ndim != 2 or negatives.shape[0] != n:
+            raise ShapeError(f"negatives must be ({n}, N), got {negatives.shape}")
+    n_neg = negatives.shape[1]
+    cand = np.concatenate([positives[:, None], negatives], axis=1)   # (n, 1+N)
+    emb = model.out_emb[cand]                                        # (n, 1+N, E)
+    u = users.u
+    logits = (emb @ u[:, :, None])[:, :, 0]
     if n_neg < V - 1:
-        logits[1:] -= math.log(n_neg / (V - 1))
+        logits[:, 1:] -= math.log(n_neg / (V - 1))
     logq = log_softmax(logits)
-    loss = -float(logq[0])
-    p = np.exp(logq)
-    dlogits = p.copy()
-    dlogits[0] -= 1.0
+    dlogits = np.exp(logq)
+    dlogits[:, 0] -= 1.0
 
     if grads is None:
         grads = {"out_emb": np.zeros_like(model.out_emb),
                  "item_emb": np.zeros_like(params.item_emb)}
-    grads.setdefault("out_emb", np.zeros_like(model.out_emb))
-    np.add.at(grads["out_emb"], cand, np.outer(dlogits, u))
-    items = _behavior_items(ctx)
-    if items:
-        du = model.out_emb[cand].T @ dlogits
-        grads.setdefault("item_emb", np.zeros_like(params.item_emb))
-        np.add.at(grads["item_emb"], items, du / len(items))
-    return loss, grads
+    if "out_emb" in grads:
+        scatter_add_rows(grads["out_emb"], cand.ravel(),
+                         (dlogits[:, :, None] * u[:, None, :]).reshape(-1, u.shape[1]))
+    users.backward((dlogits[:, None, :] @ emb)[:, 0, :], grads)
+    return -logq[:, 0], grads
 
 
 def _top_k(scores: np.ndarray, k: int, ids: np.ndarray | None = None) -> list:
@@ -138,21 +143,27 @@ def rerank(items, ctx: UserContext, model: SoftmaxModel,
     return _top_k(scores, k, items)
 
 
-def joint_loss(ctx: UserContext, item: int, mapping, params: StructureParams,
+def joint_loss(ctxs, items, mapping, params: StructureParams,
                model: SoftmaxModel, penalty: float,
                num_negatives: int = 100, rng: np.random.Generator | None = None,
                negatives: np.ndarray | None = None,
                grads: dict | None = None):
-    """Multi-task objective: penalized structure loss plus softmax loss.
+    """Multi-task objective per sample: penalized structure loss plus
+    softmax loss, for user contexts `ctxs` and their clicked `items`.
 
-    `penalty` is the mapping's path-size penalty, `penalty_value(mapping,
-    alpha)`: it is constant in the parameters and only shifts the loss
-    value, so callers compute it once per mapping.
+    The users are encoded once for both losses. `penalty` is the mapping's
+    path-size penalty, `penalty_value(mapping, alpha)`: it is constant in
+    the parameters and only shifts the loss value, so callers compute it
+    once per mapping. Returns (losses, grads): losses is (n,), and `grads`
+    accumulates the gradient of their sum; without an "out_emb" entry in a
+    supplied `grads` the softmax output embeddings get none.
     """
     if grads is None:
         grads = params.zero_grads()
         grads["out_emb"] = np.zeros_like(model.out_emb)
-    l_str, _ = multi_path_loss(ctx, mapping.assignments[item], params, grads=grads)
-    l_sm, _ = sampled_softmax_loss(ctx, item, num_negatives, model, params,
+    users = UserBatch(ctxs, params)
+    l_str, _ = multi_path_loss(users, [mapping.assignments[i] for i in items],
+                               params, grads=grads)
+    l_sm, _ = sampled_softmax_loss(users, items, num_negatives, model, params,
                                    rng=rng, negatives=negatives, grads=grads)
     return l_str + penalty + l_sm, grads

@@ -70,49 +70,76 @@ class ItemPathMapping:
 def beam_search(ctx: UserContext, params: StructureParams,
                 beam_size: int | None = None, u: np.ndarray | None = None,
                 memo: _LayerMemo | None = None) -> list:
-    """Top-B paths by log-probability, sorted descending.
+    """Top-B paths by log-probability for one user, as (path, log-prob)
+    pairs sorted descending: the n = 1 case of `batched_beam_search`.
 
-    Per layer, expands the current beam to all K successors and keeps the
-    top B; ties broken toward the lexicographically smaller path. With
-    B >= K^D this is exhaustive enumeration. `u` is the user's embedding
-    when the caller has it; `memo` scores the layers in its place.
+    `u` is the user's embedding when the caller has it; `memo` scores the
+    layers in its place.
+    """
+    if u is None:
+        u = user_embedding(ctx, params)
+    paths, logps = batched_beam_search(u[None], params, beam_size, memo)
+    return [(tuple(path), lp) for path, lp in zip(paths[0].tolist(), logps[0].tolist())]
+
+
+def batched_beam_search(u: np.ndarray, params: StructureParams,
+                        beam_size: int | None = None,
+                        memo: _LayerMemo | None = None) -> tuple:
+    """Top-B paths by log-probability for each of n users, u of shape (n, E).
+
+    Per layer, expands each user's beam to all K successors and keeps that
+    user's top B; ties broken toward the lexicographically smaller path.
+    With B >= K^D this is exhaustive enumeration. Every user's beam has the
+    same width at each layer, so the layer's candidates form an (n, width*K)
+    matrix selected row by row. Returns (paths, logps) of shapes (n, B', D)
+    and (n, B'), best first, with B' = min(B, K^D). `memo`, one user's
+    (n = 1) `_LayerMemo`, scores the layers in place of the MLPs.
     """
     cfg = params.cfg
     B = cfg.beam_size if beam_size is None else int(beam_size)
     if B < 1:
         raise ValueError("beam_size must be >= 1")
-    if u is None:
-        u = user_embedding(ctx, params)
-    prefixes = np.zeros((1, 0), dtype=np.int64)
-    logps = np.zeros(1)
+    n, K = u.shape[0], cfg.num_nodes
+    # Beam rows of all users, user-major: user i's at [i*width, (i+1)*width).
+    prefixes = np.zeros((n, 0), dtype=np.int64)
+    codes = np.zeros(n, dtype=np.int64)           # base-K code of each prefix
+    logps = np.zeros(n)
+    width = 1
     for d in range(cfg.depth):
         if memo is None:
-            layer_lp = batched_layer_log_probs(u, prefixes, params)  # (n, K)
+            # One user's rows share its embedding by broadcasting.
+            rows_u = u if n == 1 else np.repeat(u, width, axis=0)
+            layer_lp = batched_layer_log_probs(rows_u, prefixes, params)
         else:
             layer_lp = memo.log_probs(prefixes)
+        # Candidate j of beam row r is at r*K + j, so user i's width*K
+        # candidates form row i of an (n, width*K) matrix.
         neg = (-logps[:, None] - layer_lp).ravel()
-        n, K = layer_lp.shape
-        need = min(B, neg.size)
-        if need < neg.size:
-            # Keep everything at least as good as the B-th candidate, then
-            # order that small pool exactly.
-            kth = np.partition(neg, need - 1)[need - 1]
-            pool = np.flatnonzero(neg <= kth)
+        per_user = width * K
+        need = min(B, per_user)
+        if need < per_user:
+            # Keep everything at least as good as a user's B-th candidate,
+            # then order that small pool exactly.
+            by_user = neg.reshape(n, per_user)
+            kth = np.partition(by_user, need - 1, axis=1)[:, need - 1]
+            pool = np.flatnonzero(by_user <= kth[:, None])
         else:
             pool = np.arange(neg.size)
-        rows = pool // K
-        nodes = pool % K
-        # Sort by log-prob descending, ties toward the smaller path;
-        # lexsort keys are least significant first.
-        keys = (nodes,) + tuple(prefixes[rows, j]
-                                for j in range(prefixes.shape[1] - 1, -1, -1))
-        order = np.lexsort(keys + (neg[pool],))[:need]
-        sel = pool[order]
-        prefixes = np.concatenate(
-            [prefixes[sel // K], (sel % K)[:, None]], axis=1)
-        logps = -neg[sel]
-    return [(tuple(path), float(lp))
-            for path, lp in zip(prefixes.tolist(), logps.tolist())]
+        row, node = np.divmod(pool, K)
+        user = row // width
+        # Integer order of fixed-length base-K codes is lexicographic path
+        # order. Sort by user, then log-prob descending, then path; lexsort
+        # keys are least significant first.
+        cand = codes[row] * K + node
+        order = np.lexsort((cand, neg[pool], user))
+        if pool.size > n * need:          # ties at a user's B-th candidate
+            first = np.searchsorted(user[order], np.arange(n))
+            order = order[np.arange(order.size) - first[user[order]] < need]
+        prefixes = np.concatenate([prefixes[row[order]], node[order, None]], axis=1)
+        codes = cand[order]
+        logps = -neg[pool[order]]
+        width = need
+    return prefixes.reshape(n, width, cfg.depth), logps.reshape(n, width)
 
 
 #: One retrieved candidate: an item id and its best beam-path log-prob.

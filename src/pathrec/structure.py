@@ -9,12 +9,14 @@ scored by the sum of its path probabilities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineLayer, ShapeError, affine_forward, log_softmax, relu, relu_grad, softmax
+from .core import (AffineLayer, ShapeError, affine_forward, log_softmax, relu, relu_grad,
+                   scatter_add_rows, softmax)
 
 PathId = tuple[int, ...]
 
@@ -80,16 +82,6 @@ class UserContext:
         return cls(seq)
 
 
-def validate_path(path, cfg: StructureConfig) -> PathId:
-    path = tuple(int(c) for c in path)
-    if len(path) != cfg.depth:
-        raise ShapeError(f"path length {len(path)} != depth {cfg.depth}")
-    for c in path:
-        if not 0 <= c < cfg.num_nodes:
-            raise ShapeError(f"path node {c} out of range [0, {cfg.num_nodes})")
-    return path
-
-
 class StructureParams:
     """Item embeddings, per-layer node embeddings and per-layer MLPs.
 
@@ -132,9 +124,13 @@ class StructureParams:
         return {name: np.zeros_like(arr) for name, arr in self.tensor_dict().items()}
 
 
+def _behavior_items(ctx: UserContext) -> list:
+    return [i for i in ctx.behavior if i != PAD_ITEM]
+
+
 def user_embedding(ctx: UserContext, params: StructureParams) -> np.ndarray:
     """Mean of non-padding item embeddings; zero vector when all padding."""
-    items = [i for i in ctx.behavior if i != PAD_ITEM]
+    items = _behavior_items(ctx)
     if not items:
         return np.zeros(params.cfg.emb_dim)
     for i in items:
@@ -143,8 +139,35 @@ def user_embedding(ctx: UserContext, params: StructureParams) -> np.ndarray:
     return params.item_emb[items].mean(axis=0)
 
 
-def _behavior_items(ctx: UserContext) -> list:
-    return [i for i in ctx.behavior if i != PAD_ITEM]
+class UserBatch:
+    """n behavior sequences encoded at once: `u` is the (n, E) matrix of
+    their mean item embeddings, zero rows for empty contexts.
+
+    The contexts are kept as a padded (n, L) item matrix; `backward` sends
+    a gradient on `u` back to the item embeddings it averages.
+    """
+
+    def __init__(self, ctxs, params: StructureParams):
+        lists = [_behavior_items(ctx) for ctx in ctxs]
+        self.counts = np.fromiter(map(len, lists), np.int64, len(lists))
+        width = int(self.counts.max(initial=0))
+        self.mask = np.arange(width) < self.counts[:, None]
+        self.items = np.zeros((len(lists), width), dtype=np.int64)
+        self.items[self.mask] = np.fromiter(itertools.chain.from_iterable(lists),
+                                            np.int64, int(self.counts.sum()))
+        bad = self.items[self.mask & ((self.items < 0) | (self.items >= params.num_items))]
+        if bad.size:
+            raise ShapeError(f"behavior item {bad[0]} out of range")
+        # Masked sum, then one division, as `user_embedding`'s mean does.
+        summed = (params.item_emb[self.items] * self.mask[..., None]).sum(axis=1)
+        self.u = summed / np.maximum(self.counts, 1)[:, None]
+
+    def backward(self, du: np.ndarray, grads: dict) -> None:
+        """Add the gradient through the mean: each item of user i gets
+        du[i] / (user i's item count)."""
+        share = du / np.maximum(self.counts, 1)[:, None]
+        scatter_add_rows(grads["item_emb"], self.items[self.mask],
+                         np.repeat(share, self.counts, axis=0))
 
 
 def layer_distribution(ctx: UserContext, prefix, params: StructureParams) -> np.ndarray:
@@ -169,79 +192,101 @@ def layer_distribution(ctx: UserContext, prefix, params: StructureParams) -> np.
 def _layer_forward(u: np.ndarray, prefixes: np.ndarray, params: StructureParams):
     """Layer d = prefixes.shape[1] + 1 over n prefix rows of shape (n, d-1).
 
-    Returns the input rows (n, E*d), the hidden pre-activations (n, H) and
-    the log distributions over the layer's K nodes (n, K).
+    `u` is one user embedding (E,) shared by every row, or one per row
+    (n, E). Returns the input rows (n, E*d), the hidden activations after
+    the ReLU (n, H) and the log distributions over the layer's K nodes
+    (n, K).
     """
     n, dm1 = prefixes.shape
-    E = u.shape[0]
+    E = u.shape[-1]
     x = np.empty((n, E * (dm1 + 1)))
     x[:, :E] = u
     for j in range(dm1):
         x[:, E * (j + 1):E * (j + 2)] = params.node_emb[j, prefixes[:, j]]
     hid, top = params.mlps[dm1]
-    h_pre = affine_forward(hid, x)
-    return x, h_pre, log_softmax(affine_forward(top, relu(h_pre)))
+    h = affine_forward(hid, x)
+    np.maximum(h, 0.0, out=h)          # ReLU in place: one (n, H) array, not two
+    return x, h, log_softmax(affine_forward(top, h))
 
 
 def batched_layer_log_probs(u: np.ndarray, prefixes: np.ndarray,
                             params: StructureParams) -> np.ndarray:
     """Log distributions over layer d nodes for n prefixes of length d-1.
 
-    `prefixes` has shape (n, d-1); returns (n, K).
+    `prefixes` has shape (n, d-1) and `u` is (E,) or one row per prefix
+    (n, E); returns (n, K).
     """
     return _layer_forward(u, prefixes, params)[2]
 
 
-def multi_path_loss(ctx: UserContext, paths, params: StructureParams,
+def multi_path_loss(users: UserBatch, paths, params: StructureParams,
                     grads: dict | None = None):
-    """Negative log of the summed probability over an item's paths.
+    """Per user, the negative log of the summed probability over its paths.
 
-    Returns (loss, grads); `grads` accumulates in place when supplied.
-    Duplicate paths are collapsed before the sum.
+    `paths[i]` holds user i's paths; duplicates are collapsed before the
+    sum. Every layer runs once over all (user, path) rows. Returns (losses,
+    grads): losses is (n,), and `grads` accumulates the gradient of their
+    sum, in place when supplied.
     """
     cfg = params.cfg
-    uniq = np.array(list(dict.fromkeys(validate_path(p, cfg) for p in paths)),
-                    dtype=np.int64)                      # (n, D)
-    n = uniq.shape[0]
-    rows = np.arange(n)
-    u = user_embedding(ctx, params)
-    items = _behavior_items(ctx)
+    D, E = cfg.depth, cfg.emb_dim
+    per_user = [tuple(dict.fromkeys(map(tuple, ps))) for ps in paths]
+    counts = np.fromiter(map(len, per_user), np.int64, len(per_user))
+    if not counts.size or counts.size != users.u.shape[0] or not counts.all():
+        raise ValueError("need one non-empty path list per user")
+    flat = list(itertools.chain.from_iterable(per_user))
+    for p in flat:
+        if len(p) != D:
+            raise ShapeError(f"path length {len(p)} != depth {D}")
+    uniq = np.array(flat, dtype=np.int64)                # (R, D)
+    bad = uniq[(uniq < 0) | (uniq >= cfg.num_nodes)]
+    if bad.size:
+        raise ShapeError(f"path node {bad[0]} out of range [0, {cfg.num_nodes})")
+    R = uniq.shape[0]
+    rows = np.arange(R)
+    owner = np.repeat(np.arange(counts.size), counts)   # user of each row
+    starts = np.cumsum(counts) - counts
+    u = users.u[owner]
 
-    # Forward: each layer runs once over all n paths' prefixes.
-    caches = []   # per layer: (x, h_pre, log_probs), one row per path
-    logps = np.zeros(n)
-    for d in range(cfg.depth):
-        x, h_pre, logq = _layer_forward(u, uniq[:, :d], params)
+    # Forward: each layer runs once over every row's prefix.
+    caches = []   # per layer: (x, h, log_probs), one row per (user, path)
+    logps = np.zeros(R)
+    for d in range(D):
+        x, h, logq = _layer_forward(u, uniq[:, :d], params)
         logps += logq[rows, uniq[:, d]]
-        caches.append((x, h_pre, logq))
+        caches.append((x, h, logq))
 
-    m = np.max(logps)
-    lse = m + math.log(np.sum(np.exp(logps - m)))
-    loss = -lse
-    branch_w = np.exp(logps - lse)     # softmax over path log-probs
+    # Segment logsumexp over each user's rows.
+    m = np.maximum.reduceat(logps, starts)
+    lse = m + np.log(np.add.reduceat(np.exp(logps - m[owner]), starts))
+    branch_w = np.exp(logps - lse[owner])    # per user, softmax over its paths
 
     if grads is None:
         grads = params.zero_grads()
-    E = cfg.emb_dim
-    du = np.zeros(E)
-    for d, (x, h_pre, logq) in enumerate(caches):
+    du = np.zeros((R, E))
+    node_layer, node_ids, node_grads = [], [], []
+    for d, (x, h, logq) in enumerate(caches):
         dz = branch_w[:, None] * np.exp(logq)
         dz[rows, uniq[:, d]] -= branch_w
         hid, top = params.mlps[d]
-        grads[f"mlp{d}_w2"] += dz.T @ relu(h_pre)
+        grads[f"mlp{d}_w2"] += dz.T @ h
         grads[f"mlp{d}_b2"] += dz.sum(axis=0)
-        dh = (dz @ top.weight) * relu_grad(h_pre)
+        dh = (dz @ top.weight) * relu_grad(h)     # h > 0 exactly where its input is
         grads[f"mlp{d}_w1"] += dh.T @ x
         grads[f"mlp{d}_b1"] += dh.sum(axis=0)
         dx = dh @ hid.weight
-        du += dx[:, :E].sum(axis=0)
-        # Paths sharing a prefix node add into the same row.
+        du += dx[:, :E]
         for k in range(d):
-            np.add.at(grads["node_emb"][k], uniq[:, k],
-                      dx[:, E * (k + 1):E * (k + 2)])
-    if items:
-        np.add.at(grads["item_emb"], items, du / len(items))
-    return loss, grads
+            node_layer.append(np.full(R, k))
+            node_ids.append(uniq[:, k])
+            node_grads.append(dx[:, E * (k + 1):E * (k + 2)])
+    if node_ids:
+        # Rows sharing a prefix node add into the same embedding row.
+        np.add.at(grads["node_emb"],
+                  (np.concatenate(node_layer), np.concatenate(node_ids)),
+                  np.concatenate(node_grads))
+    users.backward(np.add.reduceat(du, starts, axis=0), grads)
+    return -lse, grads
 
 
 def quartic_size_penalty(n: float) -> float:

@@ -5,7 +5,6 @@ together and produces a trained bundle ready for retrieval or persistence.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 
 from .core import OptimizerState
@@ -40,11 +39,9 @@ def train_model(records, split: EvalSplit, cfg: StructureConfig,
     rng_mapping = substream(seed, "mapping-cd")
     stats_log = []
     for epoch in range(em_cfg.epochs):
-        t0 = time.perf_counter()
         mapping, stats = em_epoch(samples, params, model, mapping, table,
                                   opt_state, em_cfg, epoch,
                                   rng_negatives, rng_shuffle, rng_mapping)
-        stats["seconds"] = round(time.perf_counter() - t0, 3)
         stats_log.append(stats)
         log.info("epoch %d: loss=%.4f top_path_size=%d (%.1fs)", epoch,
                  stats["mean_loss"], stats["top_path_size"], stats["seconds"])

@@ -22,8 +22,8 @@ from pathrec.bench import run_bench, synthetic_model
 from pathrec.reranker import SoftmaxModel, joint_loss, sampled_softmax_loss
 from pathrec.retrieval import ItemPathMapping, beam_search
 from pathrec.seeding import substream
-from pathrec.structure import (StructureConfig, StructureParams, UserContext,
-                               layer_distribution, multi_path_loss)
+from pathrec.structure import (StructureConfig, StructureParams, UserBatch,
+                               UserContext, layer_distribution, multi_path_loss)
 from pathrec.train import train_model
 from reference import (assignment_objective, structure_log_likelihood,
                        surrogate_upper_bound)
@@ -136,26 +136,32 @@ def test_gradient_suite():
             rng.permutation(V - 1)[:3]]
         mapping = ItemPathMapping.random_init(cfg, V, substream(i, "mapping"))
 
-        _, g = multi_path_loss(ctx, paths, params)
-        worst["multi_path"] = max(worst["multi_path"], _max_fd_error(
-            lambda: multi_path_loss(ctx, paths, params)[0],
-            g, params.tensor_dict(), rng, coords=2))
+        # Each loss over a batch of one, through the batched code.
+        def structure_loss():
+            return multi_path_loss(UserBatch([ctx], params), [paths], params)
 
-        _, g = sampled_softmax_loss(ctx, positive, 3, model, params,
-                                    negatives=negatives)
+        def softmax_loss():
+            return sampled_softmax_loss(UserBatch([ctx], params), [positive], 3,
+                                        model, params, negatives=negatives[None])
+
+        def joint():
+            return joint_loss([ctx], [positive], mapping, params, model, 0.0,
+                              negatives=negatives[None])
+
+        _, g = structure_loss()
+        worst["multi_path"] = max(worst["multi_path"], _max_fd_error(
+            lambda: structure_loss()[0][0], g, params.tensor_dict(), rng, coords=2))
+
+        _, g = softmax_loss()
         worst["sampled_softmax"] = max(worst["sampled_softmax"], _max_fd_error(
-            lambda: sampled_softmax_loss(ctx, positive, 3, model, params,
-                                         negatives=negatives)[0],
+            lambda: softmax_loss()[0][0],
             g, {"out_emb": model.out_emb, "item_emb": params.item_emb},
             rng, coords=2))
 
-        _, g = joint_loss(ctx, positive, mapping, params, model, 0.0,
-                          negatives=negatives)
+        _, g = joint()
         tensors = dict(params.tensor_dict(), out_emb=model.out_emb)
         worst["joint"] = max(worst["joint"], _max_fd_error(
-            lambda: joint_loss(ctx, positive, mapping, params, model, 0.0,
-                               negatives=negatives)[0],
-            g, tensors, rng, coords=2))
+            lambda: joint()[0][0], g, tensors, rng, coords=2))
     elapsed = time.perf_counter() - t0
     ok = all(w <= 1e-4 for w in worst.values()) and elapsed < 60.0
     report("gradient finite-difference suite", ok,

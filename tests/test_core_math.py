@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from pathrec.core import (AffineLayer, NonFiniteGradError, OptimizerState,
                           ShapeError, affine_forward, log_softmax,
-                          optimizer_step, softmax)
+                          optimizer_step, scatter_add_rows, softmax)
+from reference import adam_step
 
 
 def test_affine_zero_weights_returns_bias():
@@ -99,6 +100,35 @@ def test_adam_matches_hand_unrolled_recurrence():
         v = b2 * v + (1 - b2) * g_ref**2
         w_ref -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         assert params["w"][0] == pytest.approx(w_ref, rel=1e-12)
+
+
+def test_adam_in_place_equals_textbook_formula_bitwise():
+    # 50 steps on tensors of embedding, matrix and bias shapes, with a
+    # tensor that skips some steps (as frozen output embeddings do).
+    rng = np.random.default_rng(3)
+    shapes = {"emb": (200, 16), "w": (64, 32), "b": (64,)}
+    got = {k: rng.normal(size=s) for k, s in shapes.items()}
+    want = {k: a.copy() for k, a in got.items()}
+    s_got, s_want = OptimizerState(0.01), OptimizerState(0.01)
+    for step in range(50):
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=s)
+                 for k, s in shapes.items() if not (k == "emb" and step % 7 == 3)}
+        optimizer_step(got, grads, s_got)
+        adam_step(want, {k: g.copy() for k, g in grads.items()}, s_want)
+    for k in shapes:
+        np.testing.assert_array_equal(got[k], want[k])
+        np.testing.assert_array_equal(s_got.m[k], s_want.m[k])
+        np.testing.assert_array_equal(s_got.v[k], s_want.v[k])
+
+
+def test_scatter_add_rows_equals_add_at_bitwise():
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, 7, size=300)           # every row repeats
+    values = rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-8, 8, size=(300, 1))
+    got, want = np.zeros((9, 5)), np.zeros((9, 5))
+    scatter_add_rows(got, rows, values)
+    np.add.at(want, rows, values)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_optimizer_rejects_non_finite():

@@ -13,6 +13,7 @@ from pathrec.reranker import SoftmaxModel
 from pathrec.retrieval import ItemPathMapping
 from pathrec.seeding import substream
 from pathrec.structure import StructureConfig, StructureParams, UserContext
+import reference
 from reference import (assignment_objective, path_log_prob,
                        structure_log_likelihood, surrogate_upper_bound)
 
@@ -224,6 +225,27 @@ def test_surrogate_bound_on_random_instances():
         assert q <= q_bar + 1e-9
 
 
+@pytest.mark.parametrize("K, D, S", [(2, 2, 4), (3, 3, 5), (4, 2, 16)])
+def test_accumulate_matches_per_sample_reference(K, D, S):
+    # Repeated items merge in sample order; the capacity cuts some beams.
+    cfg = make_cfg(K=K, D=D, S=S, decay_eta=0.9, beam_size=1)
+    params = StructureParams.init_random(cfg, 8, substream(K * D, "init"))
+    rng = np.random.default_rng(S)
+    batches = [[(UserContext(tuple(int(x) for x in rng.integers(-1, 8, 3))),
+                 int(rng.integers(4))) for _ in range(n)] for n in (1, 9, 5)]
+    batches[1][3] = (UserContext(()), batches[1][3][1])
+    got, want = ScoreTable(S), ScoreTable(S)
+    for batch in batches:
+        accumulate_scores(batch, params, got)
+        reference.accumulate_scores(batch, params, want)
+    assert got.counts == want.counts
+    assert set(got.scores) == set(want.scores)
+    for item, entries in want.scores.items():
+        assert [p for p, _ in got.top_paths(item)] == [p for p, _ in want.top_paths(item)]
+        for path, score in entries.items():
+            assert got.scores[item][path] == pytest.approx(score, rel=1e-12)
+
+
 def test_em_epoch_concentrates_single_cluster_data():
     # All users like all items: with a vanishing penalty the M-step should
     # pile items onto a handful of paths.
@@ -259,9 +281,55 @@ def test_em_epoch_stats_shape():
                               0, substream(1, "neg"), substream(1, "shuffle"),
                               substream(1, "cd"))
     for key in ("mean_loss", "top_path_size", "path_size_histogram",
-                "nonempty_paths", "softmax_frozen"):
+                "nonempty_paths", "softmax_frozen", "penalty", "cold_items",
+                "mapping_churn", "e_step_s", "score_s", "optimizer_s",
+                "m_step_s", "seconds"):
         assert key in stats
     assert sum(mapping.path_sizes.values()) == 6
+    # Items 2 and 4 were clicked; the other four have empty score tables.
+    assert stats["cold_items"] == 4
+    assert 0.0 <= stats["mapping_churn"] <= 2 / 6
+    assert stats["penalty"] == 0.0                     # alpha is 0 here
+    stages = [stats[k] for k in ("e_step_s", "score_s", "optimizer_s", "m_step_s")]
+    assert all(s >= 0.0 for s in stages)
+    assert sum(stages) <= stats["seconds"]
+
+
+def test_em_epoch_health_on_empty_table():
+    # No samples: nothing is scored, every item is cold and keeps its paths.
+    cfg = make_cfg(K=2, D=2, J=1, S=4, penalty_alpha=0.5)
+    params = StructureParams.init_random(cfg, 6, substream(3, "init"))
+    model = SoftmaxModel.init_random(6, cfg.emb_dim, substream(3, "init"))
+    mapping = ItemPathMapping.random_init(cfg, 6, substream(3, "mapping"))
+    new, stats = em_epoch([], params, model, mapping, ScoreTable(cfg.score_capacity),
+                          OptimizerState(0.01), EmConfig(num_negatives=2), 0,
+                          substream(3, "neg"), substream(3, "shuffle"),
+                          substream(3, "cd"))
+    assert new.assignments == mapping.assignments
+    assert stats["mapping_churn"] == 0.0
+    assert stats["cold_items"] == 6
+    assert stats["penalty"] == pytest.approx(
+        0.5 * sum(n**4 / 4 for n in mapping.path_sizes.values()))
+    assert stats["e_step_s"] == stats["score_s"] == stats["optimizer_s"] == 0.0
+    assert 0.0 <= stats["m_step_s"] <= stats["seconds"]
+
+
+def test_mapping_churn_compares_path_sets():
+    # K=2, D=1, J=2: every item must hold both paths, so no path set can
+    # change, whatever order the M-step lists them in.
+    cfg = make_cfg(K=2, D=1, J=2, S=2)
+    params = StructureParams.init_random(cfg, 6, substream(4, "init"))
+    model = SoftmaxModel.init_random(6, cfg.emb_dim, substream(4, "init"))
+    mapping = ItemPathMapping.from_assignments(
+        [((0,), (1,)) if v % 2 else ((1,), (0,)) for v in range(6)])
+    samples = [(UserContext(((v + 1) % 6,)), v) for v in range(6)]
+    new, stats = em_epoch(samples, params, model, mapping, ScoreTable(2),
+                          OptimizerState(0.01), EmConfig(num_negatives=2), 0,
+                          substream(4, "neg"), substream(4, "shuffle"),
+                          substream(4, "cd"))
+    assert stats["cold_items"] == 0
+    assert new.assignments != mapping.assignments      # the order did move
+    assert stats["mapping_churn"] == 0.0
 
 
 def test_em_epoch_frozen_softmax_keeps_out_emb():

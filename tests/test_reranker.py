@@ -11,8 +11,10 @@ from pathrec.reranker import (SoftmaxModel, brute_force_retrieve, joint_loss,
                               rerank, sample_negatives, sampled_softmax_loss)
 from pathrec.retrieval import ItemPathMapping
 from pathrec.seeding import substream
-from pathrec.structure import (StructureConfig, StructureParams, UserContext,
-                               multi_path_loss, penalty_value, user_embedding)
+from pathrec.structure import (StructureConfig, StructureParams, UserBatch,
+                               UserContext, multi_path_loss, penalty_value,
+                               user_embedding)
+import reference
 from reference import init_zero
 
 
@@ -30,6 +32,23 @@ def setup(num_items=8, seed=0, **cfg_kw):
     model = SoftmaxModel.init_random(num_items, cfg.emb_dim,
                                      substream(seed, "softmax"))
     return cfg, params, model
+
+
+def one_user_softmax_loss(ctx, positive, num_negatives, model, params, **kw):
+    """`sampled_softmax_loss` over a batch of one: (loss, grads)."""
+    if kw.get("negatives") is not None:
+        kw["negatives"] = np.asarray(kw["negatives"])[None]
+    losses, grads = sampled_softmax_loss(UserBatch([ctx], params), [positive],
+                                         num_negatives, model, params, **kw)
+    return float(losses[0]), grads
+
+
+def one_user_joint_loss(ctx, item, mapping, params, model, penalty, **kw):
+    """`joint_loss` over a batch of one: (loss, grads)."""
+    if kw.get("negatives") is not None:
+        kw["negatives"] = np.asarray(kw["negatives"])[None]
+    losses, grads = joint_loss([ctx], [item], mapping, params, model, penalty, **kw)
+    return float(losses[0]), grads
 
 
 def full_softmax_loss(ctx, positive, model, params):
@@ -71,7 +90,7 @@ def test_sampled_softmax_full_set_equals_exact_softmax():
     cfg, params, model = setup(num_items=6, seed=2)
     ctx = UserContext((1, 3))
     negatives = np.array([i for i in range(6) if i != 2])
-    loss, _ = sampled_softmax_loss(ctx, 2, 5, model, params,
+    loss, _ = one_user_softmax_loss(ctx, 2, 5, model, params,
                                    negatives=negatives)
     assert loss == pytest.approx(full_softmax_loss(ctx, 2, model, params),
                                  rel=1e-12)
@@ -82,7 +101,7 @@ def test_sampled_softmax_empty_context_uniform_loss():
     # correction cancels (n = V-1 here).
     cfg, params, model = setup(num_items=6, seed=3)
     negatives = np.array([0, 1, 2, 3, 4])
-    loss, _ = sampled_softmax_loss(UserContext(()), 5, 5, model, params,
+    loss, _ = one_user_softmax_loss(UserContext(()), 5, 5, model, params,
                                    negatives=negatives)
     assert loss == pytest.approx(math.log(6), rel=1e-12)
 
@@ -91,7 +110,7 @@ def test_sampled_softmax_gradient_finite_differences():
     cfg, params, model = setup(num_items=7, seed=4)
     ctx = UserContext((0, 2, 5))
     negatives = np.array([1, 3, 6])
-    _, grads = sampled_softmax_loss(ctx, 4, 3, model, params,
+    _, grads = one_user_softmax_loss(ctx, 4, 3, model, params,
                                     negatives=negatives)
     eps = 1e-6
     rng = np.random.default_rng(0)
@@ -100,10 +119,10 @@ def test_sampled_softmax_gradient_finite_differences():
             idx = tuple(int(rng.integers(s)) for s in arr.shape)
             orig = arr[idx]
             arr[idx] = orig + eps
-            lp, _ = sampled_softmax_loss(ctx, 4, 3, model, params,
+            lp, _ = one_user_softmax_loss(ctx, 4, 3, model, params,
                                          negatives=negatives)
             arr[idx] = orig - eps
-            lm, _ = sampled_softmax_loss(ctx, 4, 3, model, params,
+            lm, _ = one_user_softmax_loss(ctx, 4, 3, model, params,
                                          negatives=negatives)
             arr[idx] = orig
             fd = (lp - lm) / (2 * eps)
@@ -118,7 +137,7 @@ def test_sampled_softmax_estimates_full_loss_on_average():
     ctx = UserContext((3, 17, 25))
     exact = full_softmax_loss(ctx, 9, model, params)
     rng = substream(5, "neg")
-    est = np.mean([sampled_softmax_loss(ctx, 9, 20, model, params, rng=rng)[0]
+    est = np.mean([one_user_softmax_loss(ctx, 9, 20, model, params, rng=rng)[0]
                    for _ in range(400)])
     assert abs(est - exact) < 0.05
 
@@ -193,12 +212,13 @@ def test_joint_loss_decomposes():
     ctx = UserContext((1, 4))
     negatives = np.array([0, 1, 2])
     alpha = 0.01
-    loss, _ = joint_loss(ctx, 3, mapping, params, model,
+    loss, _ = one_user_joint_loss(ctx, 3, mapping, params, model,
                          penalty_value(mapping, alpha), negatives=negatives)
-    l_str, _ = multi_path_loss(ctx, mapping.assignments[3], params)
-    l_sm, _ = sampled_softmax_loss(ctx, 3, 3, model, params,
-                                   negatives=negatives)
-    expected = l_str + penalty_value(mapping, alpha) + l_sm
+    users = UserBatch([ctx], params)
+    l_str, _ = multi_path_loss(users, [mapping.assignments[3]], params)
+    l_sm, _ = sampled_softmax_loss(users, [3], 3, model, params,
+                                   negatives=negatives[None])
+    expected = l_str[0] + penalty_value(mapping, alpha) + l_sm[0]
     assert loss == pytest.approx(expected, rel=1e-12)
 
 
@@ -209,11 +229,11 @@ def test_joint_loss_gradient_finite_differences():
     negatives = np.array([1, 4])
 
     def value():
-        loss, _ = joint_loss(ctx, 2, mapping, params, model, 0.0,
+        loss, _ = one_user_joint_loss(ctx, 2, mapping, params, model, 0.0,
                              negatives=negatives)
         return loss
 
-    _, grads = joint_loss(ctx, 2, mapping, params, model, 0.0,
+    _, grads = one_user_joint_loss(ctx, 2, mapping, params, model, 0.0,
                           negatives=negatives)
     eps = 1e-6
     rng = np.random.default_rng(1)
@@ -231,3 +251,47 @@ def test_joint_loss_gradient_finite_differences():
             an = grads[name][idx]
             if abs(fd) > 1e-10 or abs(an) > 1e-10:
                 assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8), name
+
+
+def _assert_close(got, want, rtol=1e-10):
+    """Within `rtol` of the largest magnitude in `want`."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen"])
+@pytest.mark.parametrize("which", ["one", "mixed"])
+def test_batched_joint_loss_matches_per_sample_reference(which, frozen):
+    cfg = make_cfg(K=3, D=3, J=3, emb_dim=4)
+    V = 9
+    params = StructureParams.init_random(cfg, V, substream(20, "init"))
+    model = SoftmaxModel.init_random(V, cfg.emb_dim, substream(20, "softmax"))
+    rest = ItemPathMapping.random_init(cfg, V, substream(20, "mapping")).assignments
+    # Item 0's paths share the prefix (0, 1); item 1 has a duplicated path.
+    mapping = ItemPathMapping.from_assignments(
+        [((0, 1, 2), (0, 1, 0), (2, 2, 2)), ((1, 1, 1), (0, 0, 0), (1, 1, 1))]
+        + list(rest[2:]))
+    same = UserContext((2, 5, 5))
+    batch = {"one": [(UserContext((3, 7)), 0)],
+             "mixed": [(UserContext((3, 7)), 0), (UserContext(()), 1),
+                       (same, 1), (same, 4), (UserContext((-1, 8)), 0)]}[which]
+    ctxs, items = [c for c, _ in batch], [i for _, i in batch]
+
+    grads = params.zero_grads()
+    if not frozen:
+        grads["out_emb"] = np.zeros_like(model.out_emb)
+    losses, _ = joint_loss(ctxs, items, mapping, params, model, 0.25,
+                           num_negatives=4, rng=substream(21, "neg"), grads=grads)
+    want = dict(params.zero_grads(), out_emb=np.zeros_like(model.out_emb))
+    rng = substream(21, "neg")          # the same draws, one sample at a time
+    want_losses = [reference.joint_loss(ctx, item, mapping, params, model, 0.25,
+                                        num_negatives=4, rng=rng, grads=want)[0]
+                   for ctx, item in batch]
+    np.testing.assert_allclose(losses, want_losses, rtol=1e-10)
+    if frozen:
+        assert "out_emb" not in grads
+        del want["out_emb"]
+    assert set(grads) == set(want)
+    for name in want:
+        _assert_close(grads[name], want[name])

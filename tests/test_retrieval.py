@@ -12,11 +12,11 @@ from pathrec import retrieval
 from pathrec.em import ScoreTable, coordinate_descent_assign
 from pathrec.persist import read_mapping, write_mapping
 from pathrec.reranker import SoftmaxModel, rerank
-from pathrec.retrieval import (ItemPathMapping, adaptive_beam, beam_search,
-                               retrieve_candidates)
+from pathrec.retrieval import (ItemPathMapping, adaptive_beam, batched_beam_search,
+                               beam_search, retrieve_candidates)
 from pathrec.seeding import substream
-from pathrec.structure import (StructureConfig, StructureParams, UserContext,
-                               layer_distribution)
+from pathrec.structure import (StructureConfig, StructureParams, UserBatch,
+                               UserContext, layer_distribution)
 from pathrec.trained import TrainedModel
 from reference import init_zero, path_log_prob
 
@@ -258,6 +258,31 @@ def test_adaptive_beam_scores_each_prefix_once():
     scored = [tuple(p) for call in layers.call_args_list
               for p in call.args[1].tolist()]
     assert len(scored) == len(set(scored))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 12), st.integers(1, 30),
+       st.booleans(), st.integers(0, 500))
+def test_batched_beam_matches_per_user_reference(K, D, n, B, tied, seed):
+    # Each user's row of the batched beam is that user's own beam: the same
+    # paths in the same order. Log-probs may differ in the last bits, since
+    # BLAS rounds a row differently with the number of rows in the call.
+    cfg = make_cfg(K=K, D=D, J=1, beam_size=1)
+    # Zero parameters make every path tie, which pins the tie-break.
+    params = init_zero(cfg, 10) if tied else random_params(cfg, seed=seed)
+    rng = substream(seed, "ctx")
+    ctxs = [UserContext(tuple(rng.integers(-1, 10, size=int(rng.integers(0, 4))).tolist()))
+            for _ in range(n)]
+    paths, logps = batched_beam_search(UserBatch(ctxs, params).u, params, B)
+    assert paths.shape == (n, min(B, K**D), D)
+    for i, ctx in enumerate(ctxs):
+        want = reference.beam_search(ctx, params, B)
+        assert [tuple(p) for p in paths[i].tolist()] == [p for p, _ in want]
+        np.testing.assert_allclose(logps[i], [lp for _, lp in want], rtol=0, atol=1e-12)
+        single = beam_search(ctx, params, B)          # the n = 1 case
+        assert [p for p, _ in single] == [p for p, _ in want]
+        np.testing.assert_allclose([lp for _, lp in single], [lp for _, lp in want],
+                                   rtol=0, atol=1e-12)
 
 
 MAPPINGS = ("random", "singleton", "uniform", "heavy")

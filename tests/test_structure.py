@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from pathrec.core import ShapeError, softmax
 from pathrec.seeding import substream
-from pathrec.structure import (StructureConfig, StructureParams, UserContext,
-                               layer_distribution, multi_path_loss,
+from pathrec.structure import (StructureConfig, StructureParams, UserBatch,
+                               UserContext, layer_distribution, multi_path_loss,
                                penalty_value, user_embedding)
 from reference import init_zero, layer_input, layer_logits, path_log_prob
 
@@ -28,6 +28,12 @@ def random_params(cfg, num_items=10, seed=0):
 
 def all_paths(cfg):
     return itertools.product(range(cfg.num_nodes), repeat=cfg.depth)
+
+
+def one_user_loss(ctx, paths, params):
+    """`multi_path_loss` over a batch of one: (loss, grads)."""
+    losses, grads = multi_path_loss(UserBatch([ctx], params), [paths], params)
+    return float(losses[0]), grads
 
 
 def test_config_validation():
@@ -59,6 +65,34 @@ def test_user_embedding_empty_is_zero():
                                   np.zeros(4))
     np.testing.assert_array_equal(
         user_embedding(UserContext((-1, -1)), params), np.zeros(4))
+
+
+def test_user_batch_rows_equal_user_embedding():
+    # Padding, an empty context, a repeated item and a long sequence: each
+    # row is the single-user mean to the bit.
+    params = random_params(make_cfg(), num_items=10, seed=12)
+    ctxs = [UserContext((3,)), UserContext(()), UserContext((-1, -1)),
+            UserContext((1, -1, 4, 4)), UserContext(tuple(range(10)) * 3)]
+    users = UserBatch(ctxs, params)
+    assert users.u.shape == (5, 4)
+    for i, ctx in enumerate(ctxs):
+        np.testing.assert_array_equal(users.u[i], user_embedding(ctx, params))
+    with pytest.raises(ShapeError):
+        UserBatch([UserContext((1,)), UserContext((10,))], params)
+
+
+def test_user_batch_backward_splits_gradient_over_items():
+    params = random_params(make_cfg(), num_items=6, seed=13)
+    users = UserBatch([UserContext((1, 4)), UserContext(()), UserContext((4,))],
+                      params)
+    grads = {"item_emb": np.zeros((6, 4))}
+    du = np.arange(12.0).reshape(3, 4)
+    users.backward(du, grads)
+    want = np.zeros((6, 4))
+    want[1] += du[0] / 2
+    want[4] += du[0] / 2
+    want[4] += du[2]
+    np.testing.assert_array_equal(grads["item_emb"], want)
 
 
 def test_user_embedding_single_and_mean():
@@ -159,11 +193,11 @@ def test_multi_path_loss_single_path_reduction():
     cfg = make_cfg()
     params = random_params(cfg, seed=3)
     ctx = UserContext((1, 2))
-    loss, _ = multi_path_loss(ctx, [(1, 2)], params)
+    loss, _ = one_user_loss(ctx, [(1, 2)], params)
     assert loss == pytest.approx(-path_log_prob(ctx, (1, 2), params), rel=1e-12)
     # Several paths, two sharing their first node: -log sum_j p(path_j | x).
     for paths in [[(1, 2), (0, 0)], [(2, 1), (2, 0), (0, 2)], list(all_paths(cfg))[:5]]:
-        loss, _ = multi_path_loss(ctx, paths, params)
+        loss, _ = one_user_loss(ctx, paths, params)
         want = -math.log(sum(math.exp(path_log_prob(ctx, p, params)) for p in paths))
         assert loss == pytest.approx(want, rel=1e-12, abs=1e-14)
 
@@ -171,7 +205,7 @@ def test_multi_path_loss_single_path_reduction():
 def test_multi_path_loss_full_cover_is_zero():
     cfg = make_cfg(K=2, D=2)
     params = random_params(cfg, seed=4)
-    loss, _ = multi_path_loss(UserContext((0,)), list(all_paths(cfg)), params)
+    loss, _ = one_user_loss(UserContext((0,)), list(all_paths(cfg)), params)
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
@@ -179,8 +213,8 @@ def test_multi_path_loss_collapses_duplicates():
     cfg = make_cfg()
     params = random_params(cfg, seed=6)
     ctx = UserContext((2,))
-    l1, _ = multi_path_loss(ctx, [(0, 1)], params)
-    l2, _ = multi_path_loss(ctx, [(0, 1), (0, 1)], params)
+    l1, _ = one_user_loss(ctx, [(0, 1)], params)
+    l2, _ = one_user_loss(ctx, [(0, 1), (0, 1)], params)
     assert l1 == pytest.approx(l2, rel=1e-12)
 
 
@@ -189,10 +223,10 @@ def test_multi_path_loss_monotone_in_path_set():
     params = random_params(cfg, seed=7)
     ctx = UserContext((5, 8))
     paths = [(0, 0)]
-    prev, _ = multi_path_loss(ctx, paths, params)
+    prev, _ = one_user_loss(ctx, paths, params)
     for extra in [(1, 2), (2, 1), (0, 1)]:
         paths.append(extra)
-        cur, _ = multi_path_loss(ctx, paths, params)
+        cur, _ = one_user_loss(ctx, paths, params)
         assert cur <= prev + 1e-12
         prev = cur
 
@@ -209,7 +243,7 @@ def test_multi_path_loss_gradient_finite_differences(D, paths):
     cfg = make_cfg(K=3, D=D)
     params = random_params(cfg, seed=8)
     ctx = UserContext((1, 4, 6))
-    _, grads = multi_path_loss(ctx, paths, params)
+    _, grads = one_user_loss(ctx, paths, params)
     rng = np.random.default_rng(0)
     eps = 1e-5
     tensors = params.tensor_dict()
@@ -221,9 +255,9 @@ def test_multi_path_loss_gradient_finite_differences(D, paths):
                            for _ in range(4)]:
             orig = arr[idx]
             arr[idx] = orig + eps
-            lp, _ = multi_path_loss(ctx, paths, params)
+            lp, _ = one_user_loss(ctx, paths, params)
             arr[idx] = orig - eps
-            lm, _ = multi_path_loss(ctx, paths, params)
+            lm, _ = one_user_loss(ctx, paths, params)
             arr[idx] = orig
             fd = (lp - lm) / (2 * eps)
             an = grads[name][idx]
