@@ -10,6 +10,7 @@ import dataclasses
 import json
 import logging
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -313,11 +314,15 @@ def bench(ckpt_path, synthetic_items, profile, queries, k, beam_size, seed):
 @cli.command()
 @click.option("--checkpoint", "ckpt_path", required=True, type=click.Path(exists=True))
 def inspect(ckpt_path):
-    """Summarize a checkpoint: config, sizes, path-size distribution."""
+    """Summarize a checkpoint: config, sizes, path-size distribution, and
+    the wall seconds its load took."""
+    start = time.perf_counter()
     trained = _load(ckpt_path)
+    load_s = time.perf_counter() - start
     sizes = sorted(trained.mapping.path_sizes.values(), reverse=True)
     emit({
         "event": "inspect",
+        "load_s": load_s,
         "config": dataclasses.asdict(trained.cfg),
         "num_items": trained.num_items,
         "nonempty_paths": len(sizes),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import shutil
 import struct
@@ -23,7 +24,7 @@ import numpy as np
 from .core import AffineLayer
 from .em import ScoreTable
 from .reranker import SoftmaxModel
-from .retrieval import ItemPathMapping
+from .retrieval import ItemPathMapping, path_codes
 from .structure import StructureConfig, StructureParams
 from .trained import TrainedModel
 
@@ -76,25 +77,116 @@ def _parse_path(text: str):
     return tuple(map(int, text.split("-")))
 
 
+#: `write_mapping` formats this many rows at a time.
+_WRITE_BLOCK = 1 << 14
+
+
 def write_mapping(path, mapping: ItemPathMapping) -> None:
-    lines = []
-    for item, paths in enumerate(mapping.assignments):
-        lines.append(f"{item}\t" + ";".join(_format_path(p) for p in paths))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write `mapping` in the `read_mapping` format."""
+    rows = mapping.assignments
+    chain = itertools.chain.from_iterable
+    path_format = "-".join(["%d"] * len(next(chain(rows), ())))
+    row_formats = {j: "%d\t" + ";".join([path_format] * j) + "\n"
+                   for j in set(map(len, rows))}
+    with open(path, "wb") as f:
+        # A block of rows is one % format over a flat tuple of its ints.
+        for lo in range(0, len(rows), _WRITE_BLOCK):
+            block = rows[lo:lo + _WRITE_BLOCK]
+            values = tuple(chain(chain(((v,), *paths)) for v, paths in enumerate(block, lo)))
+            f.write(("".join(map(row_formats.__getitem__, map(len, block))) % values).encode())
+        if not rows:
+            f.write(b"\n")
 
 
-def read_mapping(path) -> ItemPathMapping:
-    """The mapping of a `write_mapping` file, whose rows are in item order."""
-    assignments: list = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        item_text, paths_text = line.split("\t")
-        if int(item_text) != len(assignments):
-            raise CorruptionError(
-                f"{path}: row of item {item_text} where item {len(assignments)} belongs")
-        assignments.append(tuple(map(_parse_path, paths_text.split(";"))))
-    return ItemPathMapping.from_assignments(assignments)
+#: What a mapping file holds besides digits, and a table that blanks it.
+_MAPPING_SEPARATORS = b"\t-;\n"
+_SEPARATORS_TO_SPACES = bytes.maketrans(_MAPPING_SEPARATORS, b" " * 4)
+_IS_DIGIT = np.zeros(256, dtype=bool)
+_IS_DIGIT[list(b"0123456789")] = True
+_TAB, _DASH, _SEMI, _NEWLINE = _MAPPING_SEPARATORS
+
+
+def read_mapping(path, cfg: StructureConfig | None = None) -> ItemPathMapping:
+    """The mapping of a `write_mapping` file.
+
+    The file holds digits, tabs, '-', ';' and newlines only: row v is
+    `v<TAB>path;path;...`, each path its nodes joined by '-', and rows come
+    in item order. Blank lines are skipped and the last newline is
+    optional. Every path has the same number of nodes; with `cfg`, every
+    item holds `cfg.paths_per_item` distinct paths of `cfg.depth` nodes in
+    [0, `cfg.num_nodes`). Anything else raises CorruptionError.
+    """
+    nodes, counts = _parse_mapping(path, None if cfg is None else cfg.depth)
+    top = int(nodes.max(initial=0))
+    if cfg is None and (top + 1)**nodes.shape[1] > 2**63:
+        raise CorruptionError(f"{path}: node {top} too large for a path code")
+    if cfg is not None:
+        K, J = cfg.num_nodes, cfg.paths_per_item
+        if top >= K:
+            raise CorruptionError(f"{path}: node {top} outside [0, {K})")
+        if np.any(counts != J):
+            raise CorruptionError(f"{path}: an item with other than {J} paths")
+        codes = np.sort(path_codes(nodes, K).reshape(-1, J), axis=1)
+        twice = np.flatnonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1))
+        if twice.size:
+            raise CorruptionError(f"{path}: item {twice[0]} holds a path twice")
+        del codes
+    return ItemPathMapping.from_paths(nodes, counts)
+
+
+def _parse_mapping(path, depth: int | None) -> tuple:
+    """`read_mapping`'s file as (nodes, counts): every path's nodes as an
+    (n, D) array in item order, its own dtype as narrow as they allow, and
+    each item's number of paths. D is `depth`, or the first path's."""
+    raw = Path(path).read_bytes()
+    if raw.translate(None, b"0123456789" + _MAPPING_SEPARATORS):
+        raise CorruptionError(f"{path}: holds a byte other than digits, tab, '-', ';' "
+                              "and newline")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    # One number precedes each separator, except the newline that ends a
+    # blank line. Position 0 follows a newline, the file's last byte.
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    is_sep = ~_IS_DIGIT[buf]
+    seps, before = buf[is_sep], np.roll(buf, 1)[is_sep]
+    del is_sep
+    kept = (seps != _NEWLINE) | (before != _NEWLINE)
+    if not _IS_DIGIT[before[kept]].all():
+        raise CorruptionError(f"{path}: a row that is not item<TAB>path;path... "
+                              "with digits between separators")
+    seps = seps[kept]
+    del before, kept
+    # (fromstring reads a file of blank lines as one 0.)
+    numbers = np.fromstring(raw.translate(_SEPARATORS_TO_SPACES), dtype=np.int64,
+                            sep=" ") if seps.size else np.zeros(0, dtype=np.int64)
+    del raw, buf
+    if numbers.size != seps.size or np.any(numbers == np.iinfo(np.int64).max):
+        raise CorruptionError(f"{path}: a number too large to read")
+    # A row's first separator is its only tab.
+    row_ends = np.flatnonzero(seps == _NEWLINE)
+    is_tab = seps == _TAB
+    if is_tab.sum() != row_ends.size or not is_tab[row_ends[:-1] + 1].all() \
+            or (seps.size and not is_tab[0]):
+        raise CorruptionError(f"{path}: a row that is not item<TAB>path;path...")
+    items = numbers[is_tab]
+    wrong = np.flatnonzero(items != np.arange(items.size))
+    if wrong.size:
+        raise CorruptionError(
+            f"{path}: row of item {items[wrong[0]]} where item {wrong[0]} belongs")
+    # A path runs from a tab or ';' to the next ';' or newline.
+    bounds = np.flatnonzero(seps != _DASH)
+    depths = np.diff(bounds)[seps[bounds[:-1]] != _NEWLINE]
+    del bounds
+    if depth is None:
+        depth = int(depths[0]) if depths.size else 0
+    if np.any(depths != depth):
+        raise CorruptionError(f"{path}: paths of {sorted(set(depths.tolist()) - {depth})} "
+                              f"nodes where paths have {depth}")
+    counts = np.diff(np.searchsorted(np.flatnonzero(seps == _SEMI), row_ends),
+                     prepend=0) + 1
+    nodes = numbers[~is_tab]
+    nodes = nodes.astype(np.min_scalar_type(nodes.max(initial=0)))
+    return nodes.reshape(int(counts.sum()), depth), counts
 
 
 def write_scores(path, table: ScoreTable) -> None:
@@ -108,22 +200,25 @@ def write_scores(path, table: ScoreTable) -> None:
 
 
 def read_scores(path) -> ScoreTable:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("#capacity\t"):
-        raise CorruptionError(f"{path}: missing capacity header")
-    table = ScoreTable(int(lines[0].split("\t")[1]))
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        item_text, count_text, body = line.split("\t")
-        item = int(item_text)
-        table.counts[item] = float.fromhex(count_text)
-        entries = {}
-        if body:
-            for part in body.split(";"):
-                path_text, score_text = part.split("=")
-                entries[_parse_path(path_text)] = float.fromhex(score_text)
-        table.scores[item] = entries
+    try:
+        lines = Path(path).read_text().splitlines()
+        if not lines or not lines[0].startswith("#capacity\t"):
+            raise CorruptionError(f"{path}: missing capacity header")
+        table = ScoreTable(int(lines[0].split("\t")[1]))
+        for line in lines[1:]:
+            if not line.strip():
+                continue
+            item_text, count_text, body = line.split("\t")
+            item = int(item_text)
+            table.counts[item] = float.fromhex(count_text)
+            entries = {}
+            if body:
+                for part in body.split(";"):
+                    path_text, score_text = part.split("=")
+                    entries[_parse_path(path_text)] = float.fromhex(score_text)
+            table.scores[item] = entries
+    except ValueError as exc:
+        raise CorruptionError(f"{path}: malformed row ({exc})") from exc
     return table
 
 
@@ -235,7 +330,7 @@ def _load_verified(root: Path, manifest: dict) -> TrainedModel:
     params = StructureParams(cfg, num_items, tensors["item_emb"],
                              tensors["node_emb"], mlps)
     model = SoftmaxModel(tensors["out_emb"])
-    mapping = read_mapping(root / manifest["files"]["mapping"]["file"])
+    mapping = read_mapping(root / manifest["files"]["mapping"]["file"], cfg)
     if mapping.num_items != num_items:
         raise CorruptionError(f"mapping.tsv: {mapping.num_items} rows for {num_items} items")
     table = read_scores(root / manifest["files"]["scores"]["file"])

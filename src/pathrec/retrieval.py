@@ -20,17 +20,62 @@ class ItemPathMapping:
     over its non-empty paths."""
 
     assignments: list          # item id -> tuple of J PathIds
-    inverted: dict             # non-empty PathId -> item ids, ascending
+    inverted: dict             # non-empty PathId -> item ids, an ascending tuple
 
     @classmethod
-    def from_assignments(cls, assignments) -> "ItemPathMapping":
+    def from_assignments(cls, assignments,
+                         paths: np.ndarray | None = None) -> "ItemPathMapping":
         """The mapping with its inverted index built. `assignments` holds
-        per item a J-tuple of int tuples, stored as given."""
-        inverted: dict = {}
-        for item, paths in enumerate(assignments):
-            for path in paths:
-                inverted.setdefault(path, []).append(item)
-        return cls(list(assignments), inverted)
+        per item a tuple of equal-length int tuples, stored as given, with
+        nodes in [0, K) for a K**D below 2**63. `paths`, when the caller has
+        it, is every one of those paths in item order as an (n, D) array.
+
+        The index keys are the assignments' own tuples, listed by path
+        size and then in path order; a path's items are in item order, an
+        item listed once per time it holds the path.
+        """
+        # Each temporary is freed once used: this build sets the memory
+        # peak of a checkpoint load.
+        assignments = list(assignments)
+        keys = np.fromiter(itertools.chain.from_iterable(assignments), object)
+        if paths is None:
+            paths = np.array(keys.tolist(), dtype=np.int64).reshape(
+                keys.size, -1 if keys.size else 0)
+        counts = np.fromiter(map(len, assignments), np.int64, len(assignments))
+        codes = path_codes(paths, int(paths.max(initial=0)) + 1)
+        # A stable sort keeps each path's items in item order; codes that
+        # fit 16 bits take NumPy's radix sort.
+        order = np.argsort(codes.astype(np.min_scalar_type(codes.max(initial=0))),
+                           kind="stable")
+        codes = codes[order]
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        del codes
+        sizes = np.diff(starts, append=order.size)
+        keys = keys[order[starts]]         # each path's tuple at its first entry
+        del starts
+        # One int object per item, shared by all of its paths.
+        owners = np.repeat(np.arange(counts.size, dtype=object), counts)[order]
+        del order, counts
+        items, by_size = _tuples_by_size(owners, sizes)
+        del owners, sizes
+        keys = keys[by_size]
+        del by_size
+        inverted = dict(zip(_scalars(keys), items))
+        return cls(assignments, inverted)
+
+    @classmethod
+    def from_paths(cls, paths: np.ndarray, counts: np.ndarray) -> "ItemPathMapping":
+        """The mapping whose item v holds the next `counts[v]` rows of
+        `paths`, an (n, D) int array in item order."""
+        rows = np.fromiter(zip(*[_scalars(paths.ravel())] * paths.shape[1]), object,
+                           paths.shape[0])
+        built, by_size = _tuples_by_size(rows, counts)
+        del rows
+        at = np.empty_like(by_size)
+        at[by_size] = np.arange(by_size.size)
+        assignments = list(map(built.__getitem__, _scalars(at)))
+        del built, by_size, at
+        return cls.from_assignments(assignments, paths)
 
     @functools.cached_property
     def path_sizes(self) -> dict:
@@ -50,21 +95,66 @@ class ItemPathMapping:
     @classmethod
     def random_init(cls, cfg: StructureConfig, num_items: int,
                     rng: np.random.Generator) -> "ItemPathMapping":
-        """J distinct random paths per item."""
+        """J distinct random paths per item, in ascending order."""
         J, D, K = cfg.paths_per_item, cfg.depth, cfg.num_nodes
         draw = rng.integers(0, K, size=(num_items * J, D))
-        drawn = list(zip(*draw.T.tolist()))      # one int tuple per row
-        assignments = []
-        for v in range(num_items):
-            chosen = set(drawn[v * J:(v + 1) * J])
-            while len(chosen) < J:     # rare collision, redraw
+        codes = path_codes(draw, K).reshape(num_items, J)
+        order = np.argsort(codes, axis=1)
+        paths = draw.astype(np.min_scalar_type(K - 1)).reshape(num_items, J, D)[
+            np.arange(num_items)[:, None], order]
+        codes = np.take_along_axis(codes, order, axis=1)
+        del draw, order
+        # Items that drew a path twice redraw, one at a time in item order.
+        for v in np.flatnonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1)).tolist():
+            chosen = set(map(tuple, paths[v].tolist()))
+            while len(chosen) < J:
                 chosen.add(tuple(rng.integers(0, K, size=D).tolist()))
-            assignments.append(tuple(sorted(chosen)))
-        return cls.from_assignments(assignments)
+            paths[v] = sorted(chosen)
+        del codes
+        return cls.from_paths(paths.reshape(-1, D), np.full(num_items, J))
 
     @property
     def num_items(self) -> int:
         return len(self.assignments)
+
+
+def path_codes(paths: np.ndarray, base: int) -> np.ndarray:
+    """The base-`base` integer code of each row of `paths`, nodes in
+    [0, base): for fixed-length paths, code order is lexicographic order."""
+    codes = np.zeros(paths.shape[0], dtype=np.int64)
+    for d in range(paths.shape[1]):
+        codes *= base
+        codes += paths[:, d]
+    return codes
+
+
+#: `_scalars` converts this many array entries at a time.
+_SCALAR_BLOCK = 1 << 16
+
+
+def _scalars(arr: np.ndarray):
+    """An iterator over the Python objects of 1-d `arr`, converted a block
+    at a time so that no list of them all is ever alive."""
+    return itertools.chain.from_iterable(
+        arr[lo:lo + _SCALAR_BLOCK].tolist() for lo in range(0, arr.size, _SCALAR_BLOCK))
+
+
+def _tuples_by_size(values: np.ndarray, sizes: np.ndarray) -> tuple:
+    """The object array `values` cut into consecutive tuples of `sizes`
+    entries each, as (tuples, by_size): the tuples listed by size, stably,
+    and the index in `sizes` of each."""
+    # zip builds tuples of one size with no Python-level step per tuple.
+    by_size = np.argsort(sizes.astype(np.min_scalar_type(sizes.max(initial=0))),
+                         kind="stable")
+    grouped = sizes[by_size]
+    take = np.repeat(np.cumsum(sizes)[by_size] - np.cumsum(grouped), grouped)
+    take += np.arange(take.size)
+    entries = _scalars(values[take])
+    del take
+    built: list = []
+    for size, n in zip(*np.unique(grouped, return_counts=True)):
+        built += itertools.islice(zip(*[entries] * size), n) if size else [()] * n
+    return built, by_size
 
 
 def beam_search(ctx: UserContext, params: StructureParams,

@@ -107,6 +107,52 @@ def surrogate_upper_bound(samples, mapping, params) -> float:
     return total
 
 
+def inverted_index(assignments) -> dict:
+    """Path -> item ids, one item and path at a time: an item listed once
+    per time it holds the path, paths in order of first appearance."""
+    inverted: dict = {}
+    for item, paths in enumerate(assignments):
+        for path in paths:
+            inverted.setdefault(path, []).append(item)
+    return inverted
+
+
+def random_assignments(cfg, num_items: int, rng) -> list:
+    """J distinct random paths per item, sorted: one (V*J, D) draw, then a
+    redraw one path at a time for each item whose draws collide, in item
+    order."""
+    J, D, K = cfg.paths_per_item, cfg.depth, cfg.num_nodes
+    drawn = [tuple(row) for row in rng.integers(0, K, size=(num_items * J, D)).tolist()]
+    assignments = []
+    for v in range(num_items):
+        chosen = set(drawn[v * J:(v + 1) * J])
+        while len(chosen) < J:
+            chosen.add(tuple(rng.integers(0, K, size=D).tolist()))
+        assignments.append(tuple(sorted(chosen)))
+    return assignments
+
+
+def mapping_text(assignments) -> str:
+    """A mapping file's text, one line per item: `item<TAB>a-b;c-d`."""
+    lines = [f"{item}\t" + ";".join("-".join(map(str, p)) for p in paths)
+             for item, paths in enumerate(assignments)]
+    return "\n".join(lines) + "\n"
+
+
+def parse_mapping(text: str) -> list:
+    """The assignments of a mapping file's text, one line at a time; blank
+    lines are skipped."""
+    assignments = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        item_text, paths_text = line.split("\t")
+        assert int(item_text) == len(assignments)
+        assignments.append(tuple(tuple(map(int, p.split("-")))
+                                 for p in paths_text.split(";")))
+    return assignments
+
+
 def adaptive_beam(ctx, params, mapping, target_count: int) -> tuple:
     """Every width B = 1, 2, 4, ... (capped at K^D) retrieved from scratch
     until the candidates reach ADAPTIVE_MULTIPLIER * `target_count` or the

@@ -267,6 +267,7 @@ def test_inspect_command(checkpoint):
     assert event["config"]["num_nodes"] == 4
     assert event["nonempty_paths"] >= 1
     assert event["top_path_size"] >= event["mean_path_size"]
+    assert event["load_s"] > 0
 
 
 def test_unknown_flag_exits_2():

@@ -6,6 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
 
 from pathrec import persist
 from pathrec.em import ScoreTable
@@ -94,6 +98,41 @@ def test_mapping_rows_out_of_order_are_corruption(tmp_path):
     path = tmp_path / "mapping.tsv"
     path.write_text("0\t0-1\n2\t1-1\n")
     with pytest.raises(CorruptionError, match="item 1"):
+        read_mapping(path)
+
+
+# Per item 1-4 paths of one depth, duplicates allowed, nodes up to 999.
+ASSIGNMENTS = st.integers(1, 3).flatmap(lambda depth: st.lists(
+    st.lists(st.tuples(*[st.integers(0, 999)] * depth), min_size=1, max_size=4)
+    .map(tuple), max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ASSIGNMENTS, st.data())
+def test_mapping_file_matches_per_line_oracle(tmp_path_factory, assignments, data):
+    path = tmp_path_factory.mktemp("mapping") / "mapping.tsv"
+    write_mapping(path, ItemPathMapping.from_assignments(assignments))
+    text = path.read_text()
+    assert text == reference.mapping_text(assignments)
+    assert read_mapping(path).assignments == assignments
+    # Blank lines anywhere and a missing last newline read the same.
+    lines = text.splitlines()
+    for at in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, "")
+    text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
+    path.write_text(text)
+    assert read_mapping(path).assignments == reference.parse_mapping(text) == assignments
+
+
+@pytest.mark.parametrize("text", [
+    "0\t1-2;3\n", "0\t1-2;\n", "0\t\n", "\t1-2\n", "0\t1--2\n", "0\t1-2\t3\n",
+    "0\n", "0-1\t1-2\n", "0\t1-2;3-4\n1\t5-6;\n", "0\t1-x\n", "0\t1 2\n",
+    "0\t1-2\r\n", "0\t\uff11-2\n", "0\t99999999999999999999-1\n",
+    "0\t4294967296-4294967296-4294967296\n"])
+def test_mapping_grammar_violations_are_corruption(tmp_path, text):
+    path = tmp_path / "mapping.tsv"
+    path.write_text(text)
+    with pytest.raises(CorruptionError, match="mapping.tsv"):
         read_mapping(path)
 
 
@@ -232,6 +271,14 @@ def _missing_mapping_row(ckpt):
     _fix_sha256(ckpt, "mapping.tsv")
 
 
+def _first_mapping_row(row):
+    def damage(ckpt):
+        path = ckpt / "mapping.tsv"
+        path.write_text(row + "\n" + path.read_text().split("\n", 1)[1])
+        _fix_sha256(ckpt, "mapping.tsv")
+    return damage
+
+
 def _rewrite_tensor(name, shape):
     def damage(ckpt):
         write_tensor(ckpt / "tensors" / f"{name}.bin", np.zeros(shape))
@@ -256,12 +303,27 @@ def _extra_tensor(ckpt):
     (_rewrite_tensor("mlp1_w1", (12, 4)), "tensors ['mlp1_w1']"),
     (_rewrite_tensor("node_emb", (3, 3, 4)), "tensors ['node_emb']"),
     (_extra_tensor, "tensors ['bogus']"),
+    (_first_mapping_row("0\t9-9;0-1"), "mapping.tsv: node 9 outside [0, 3)"),
+    (_first_mapping_row("0\t1-2-0;0-1"), "mapping.tsv: paths of [3] nodes where paths have 2"),
+    (_first_mapping_row("0\t1-1;1-1"), "mapping.tsv: item 0 holds a path twice"),
+    (_first_mapping_row("0\t1-1"), "mapping.tsv: an item with other than 2 paths"),
+    (_first_mapping_row("0\t1-x;0-1"), "mapping.tsv: holds a byte other than digits"),
 ], ids=["extra_rows", "missing_row", "short_item_ids", "num_items", "out_emb_rows",
-        "item_emb_width", "mlp_in_width", "node_emb_depth", "extra_tensor"])
+        "item_emb_width", "mlp_in_width", "node_emb_depth", "extra_tensor",
+        "node_range", "path_depth", "path_twice", "path_count", "mapping_token"])
 def test_checkpoint_parts_must_agree(tmp_path, damage, message):
     save_checkpoint(tmp_path / "ckpt", make_trained())
     damage(tmp_path / "ckpt")
     with pytest.raises(CorruptionError, match=re.escape(message)):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_bad_score_token_names_scores_file(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", make_trained())
+    path = tmp_path / "ckpt" / "scores.tsv"
+    path.write_text(path.read_text().replace("\t", "\tx", 1))
+    _fix_sha256(tmp_path / "ckpt", "scores.tsv")
+    with pytest.raises(CorruptionError, match=r"scores\.tsv: malformed row"):
         load_checkpoint(tmp_path / "ckpt")
 
 

@@ -49,6 +49,35 @@ def test_mapping_round_trip_and_size_invariant():
     assert rebuilt.inverted == mapping.inverted
 
 
+# Per item 1-4 paths of one depth, duplicates allowed, nodes up to 999.
+ASSIGNMENTS = st.integers(1, 3).flatmap(lambda depth: st.lists(
+    st.lists(st.tuples(*[st.integers(0, 999)] * depth), min_size=1, max_size=4)
+    .map(tuple), max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ASSIGNMENTS)
+def test_index_matches_per_item_oracle(assignments):
+    mapping = ItemPathMapping.from_assignments(assignments)
+    want = reference.inverted_index(assignments)
+    assert mapping.assignments == assignments
+    assert list(mapping.inverted) == sorted(want, key=lambda p: (len(want[p]), p))
+    assert {p: list(items) for p, items in mapping.inverted.items()} == want
+    assert all(type(items) is tuple for items in mapping.inverted.values())
+
+
+@pytest.mark.parametrize("K, D, J", [(2, 1, 2), (3, 2, 9), (3, 2, 2), (100, 3, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_random_init_matches_per_item_oracle(K, D, J, seed):
+    cfg = make_cfg(K=K, D=D, J=J)
+    rng, ref_rng = substream(seed, "mapping"), substream(seed, "mapping")
+    mapping = ItemPathMapping.random_init(cfg, 40, rng)
+    assert mapping.assignments == reference.random_assignments(cfg, 40, ref_rng)
+    # The generator is left where the per-item redraws leave it.
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+    assert mapping.inverted == ItemPathMapping.from_assignments(mapping.assignments).inverted
+
+
 def test_beam_b1_is_greedy_chain():
     cfg = make_cfg(K=4, D=3)
     params = random_params(cfg, seed=3)
