@@ -9,7 +9,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .em import ScoreTable
 from .reranker import SoftmaxModel
 from .retrieval import ItemPathMapping
 from .seeding import substream
@@ -50,7 +49,6 @@ def synthetic_model(cfg: StructureConfig, num_items: int, seed: int) -> TrainedM
     model = SoftmaxModel.init_random(num_items, cfg.emb_dim, rng)
     mapping = ItemPathMapping.random_init(cfg, num_items, rng)
     return TrainedModel(cfg=cfg, params=params, model=model, mapping=mapping,
-                        table=ScoreTable(cfg.score_capacity),
                         item_ids=list(range(num_items)))
 
 

@@ -328,7 +328,6 @@ def inspect(ckpt_path):
         "nonempty_paths": len(sizes),
         "top_path_size": sizes[0] if sizes else 0,
         "mean_path_size": sum(sizes) / len(sizes) if sizes else 0.0,
-        "scored_items": len(trained.table.scores),
     })
 
 

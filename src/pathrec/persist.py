@@ -1,5 +1,5 @@
 """Checkpoint persistence: a self-describing directory with a manifest,
-binary tensor blobs, the item-path mapping and the score table.
+binary tensor blobs and the item-path mapping.
 
 Tensor blob layout (little-endian throughout):
     8-byte magic | uint32 ndim | uint32 dims... | float32 payload | uint32 crc32
@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import AffineLayer
-from .em import ScoreTable
 from .reranker import SoftmaxModel
 from .retrieval import ItemPathMapping, path_codes
 from .structure import StructureConfig, StructureParams
@@ -67,14 +66,6 @@ def read_tensor(path) -> np.ndarray:
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _format_path(path) -> str:
-    return "-".join(str(c) for c in path)
-
-
-def _parse_path(text: str):
-    return tuple(map(int, text.split("-")))
 
 
 #: `write_mapping` formats this many rows at a time.
@@ -189,39 +180,6 @@ def _parse_mapping(path, depth: int | None) -> tuple:
     return nodes.reshape(int(counts.sum()), depth), counts
 
 
-def write_scores(path, table: ScoreTable) -> None:
-    lines = [f"#capacity\t{table.capacity}"]
-    for item in sorted(table.scores):
-        entries = table.top_paths(item)
-        count = table.counts.get(item, 0.0)
-        body = ";".join(f"{_format_path(p)}={s.hex()}" for p, s in entries)
-        lines.append(f"{item}\t{count.hex()}\t{body}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_scores(path) -> ScoreTable:
-    try:
-        lines = Path(path).read_text().splitlines()
-        if not lines or not lines[0].startswith("#capacity\t"):
-            raise CorruptionError(f"{path}: missing capacity header")
-        table = ScoreTable(int(lines[0].split("\t")[1]))
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            item_text, count_text, body = line.split("\t")
-            item = int(item_text)
-            table.counts[item] = float.fromhex(count_text)
-            entries = {}
-            if body:
-                for part in body.split(";"):
-                    path_text, score_text = part.split("=")
-                    entries[_parse_path(path_text)] = float.fromhex(score_text)
-            table.scores[item] = entries
-    except ValueError as exc:
-        raise CorruptionError(f"{path}: malformed row ({exc})") from exc
-    return table
-
-
 def check_replaceable(directory) -> None:
     """Raise FileExistsError unless `directory` is absent, an empty directory
     or a checkpoint (holding manifest.json): what `save_checkpoint` replaces."""
@@ -253,7 +211,6 @@ def save_checkpoint(directory, trained: TrainedModel,
             tensor_meta[name] = {"file": rel, "shape": list(arr.shape),
                                  "sha256": _sha256(tmp / rel)}
         write_mapping(tmp / "mapping.tsv", trained.mapping)
-        write_scores(tmp / "scores.tsv", trained.table)
         manifest = {
             "format_version": FORMAT_VERSION,
             "config": dataclasses.asdict(trained.cfg),
@@ -263,7 +220,6 @@ def save_checkpoint(directory, trained: TrainedModel,
             "tensors": tensor_meta,
             "files": {
                 "mapping": {"file": "mapping.tsv", "sha256": _sha256(tmp / "mapping.tsv")},
-                "scores": {"file": "scores.tsv", "sha256": _sha256(tmp / "scores.tsv")},
             },
         }
         (tmp / "manifest.json").write_text(
@@ -307,14 +263,21 @@ def _tensor_shapes(cfg: StructureConfig, num_items: int) -> dict:
 
 
 def _load_verified(root: Path, manifest: dict) -> TrainedModel:
+    for key in ("tensors", "files"):
+        if not isinstance(manifest[key], dict):
+            raise CorruptionError(f"manifest.json: {key} is not a JSON object")
+    # Older checkpoints also list scores.tsv: it is verified, never read.
     for meta in list(manifest["tensors"].values()) + list(manifest["files"].values()):
         if _sha256(root / meta["file"]) != meta["sha256"]:
             raise CorruptionError(f"{meta['file']}: sha256 mismatch")
     cfg = StructureConfig(**manifest["config"])
-    num_items = manifest["num_items"]
-    if len(manifest["item_ids"]) != num_items:
-        raise CorruptionError(f"manifest.json: {len(manifest['item_ids'])} item ids "
-                              f"for {num_items} items")
+    num_items, item_ids = manifest["num_items"], manifest["item_ids"]
+    if type(num_items) is not int:
+        raise CorruptionError(f"manifest.json: num_items {num_items!r} is not an integer")
+    if not isinstance(item_ids, list) or not set(map(type, item_ids)) <= {int}:
+        raise CorruptionError("manifest.json: item_ids is not a list of integers")
+    if len(item_ids) != num_items:
+        raise CorruptionError(f"manifest.json: {len(item_ids)} item ids for {num_items} items")
     tensors = {name: read_tensor(root / meta["file"])
                for name, meta in manifest["tensors"].items()}
     want = _tensor_shapes(cfg, num_items)
@@ -333,6 +296,5 @@ def _load_verified(root: Path, manifest: dict) -> TrainedModel:
     mapping = read_mapping(root / manifest["files"]["mapping"]["file"], cfg)
     if mapping.num_items != num_items:
         raise CorruptionError(f"mapping.tsv: {mapping.num_items} rows for {num_items} items")
-    table = read_scores(root / manifest["files"]["scores"]["file"])
     return TrainedModel(cfg=cfg, params=params, model=model, mapping=mapping,
-                        table=table, item_ids=manifest["item_ids"])
+                        item_ids=item_ids)

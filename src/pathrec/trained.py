@@ -17,8 +17,8 @@ class TrainedModel:
     params: StructureParams
     model: SoftmaxModel
     mapping: ItemPathMapping
-    table: ScoreTable
     item_ids: list                 # index -> original item id
+    table: ScoreTable | None = None   # training's path scores; not saved
     stats: list = field(default_factory=list)
 
     @property

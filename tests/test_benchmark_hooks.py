@@ -1,6 +1,8 @@
 """The benchmark's traced run wraps program functions by name; each must
 still be where it looks."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,19 @@ from pathrec.seeding import substream
 from pathrec.structure import StructureConfig
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's oracles read the program's mapping and beams; its
+    # self-test runs in a process of its own, which pins BLAS threads.
+    result = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=REPO,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 def test_every_traced_name_resolves(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     import tracing
 
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"

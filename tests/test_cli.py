@@ -268,6 +268,7 @@ def test_inspect_command(checkpoint):
     assert event["nonempty_paths"] >= 1
     assert event["top_path_size"] >= event["mean_path_size"]
     assert event["load_s"] > 0
+    assert "scored_items" not in event      # the score table is not saved
 
 
 def test_unknown_flag_exits_2():
@@ -285,7 +286,16 @@ def test_corrupt_checkpoint_is_clean_error(checkpoint, tmp_path):
     assert "mismatch" in result.output
 
 
-@pytest.mark.parametrize("damage", ["truncate", "drop_tensors"])
+MANIFEST_DAMAGES = {
+    "drop_tensors": lambda m: m.pop("tensors"),
+    "tensors_list": lambda m: m.update(tensors=[]),
+    "files_list": lambda m: m.update(files=[]),
+    "num_items_text": lambda m: m.update(num_items=str(m["num_items"])),
+    "item_ids_object": lambda m: m.update(item_ids={str(i): i for i in m["item_ids"]}),
+}
+
+
+@pytest.mark.parametrize("damage", ["truncate", *MANIFEST_DAMAGES])
 def test_corrupt_manifest_is_clean_error(checkpoint, tmp_path, damage):
     import shutil
     broken = tmp_path / "broken"
@@ -295,7 +305,7 @@ def test_corrupt_manifest_is_clean_error(checkpoint, tmp_path, damage):
         manifest.write_text(manifest.read_text()[:40])
     else:
         content = json.loads(manifest.read_text())
-        del content["tensors"]
+        MANIFEST_DAMAGES[damage](content)
         manifest.write_text(json.dumps(content))
     result = CliRunner().invoke(cli, ["inspect", "--checkpoint", str(broken)])
     assert result.exit_code == 1

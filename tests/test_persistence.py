@@ -14,9 +14,8 @@ import reference
 from pathrec import persist
 from pathrec.em import ScoreTable
 from pathrec.persist import (TENSOR_MAGIC, CorruptionError, MigrationError,
-                             load_checkpoint, read_mapping, read_scores,
-                             read_tensor, save_checkpoint, write_mapping,
-                             write_scores, write_tensor)
+                             load_checkpoint, read_mapping, read_tensor,
+                             save_checkpoint, write_mapping, write_tensor)
 from pathrec.reranker import SoftmaxModel
 from pathrec.retrieval import ItemPathMapping
 from pathrec.seeding import substream
@@ -136,25 +135,6 @@ def test_mapping_grammar_violations_are_corruption(tmp_path, text):
         read_mapping(path)
 
 
-def test_scores_round_trip_is_exact(tmp_path):
-    table = ScoreTable(3)
-    table.scores[2] = {(0, 1): 0.1, (1, 1): 1e-300}
-    table.counts[2] = 7.77
-    path = tmp_path / "scores.tsv"
-    write_scores(path, table)
-    back = read_scores(path)
-    assert back.capacity == 3
-    assert back.scores == table.scores      # float.hex round trip, no loss
-    assert back.counts == table.counts
-
-
-def test_scores_missing_header(tmp_path):
-    path = tmp_path / "scores.tsv"
-    path.write_text("0\t1.0\t0-0=0x1p0\n")
-    with pytest.raises(CorruptionError):
-        read_scores(path)
-
-
 def test_checkpoint_round_trip(tmp_path):
     trained = make_trained()
     save_checkpoint(tmp_path / "ckpt", trained)
@@ -162,7 +142,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.cfg == trained.cfg
     assert back.item_ids == trained.item_ids
     assert back.mapping.assignments == trained.mapping.assignments
-    assert back.table.scores == trained.table.scores
+    assert back.table is None               # training state, not saved
     for name, arr in trained.params.tensor_dict().items():
         np.testing.assert_array_equal(back.params.tensor_dict()[name],
                                       arr.astype(np.float32))
@@ -184,13 +164,47 @@ def test_checkpoint_save_is_byte_deterministic(tmp_path):
             (tmp_path / "b" / rel).read_bytes()
 
 
+def _saved_files(ckpt):
+    return {p.relative_to(ckpt).as_posix(): p.read_bytes()
+            for p in ckpt.rglob("*") if p.is_file()}
+
+
 def test_checkpoint_reload_of_reload_is_identical(tmp_path):
     trained = make_trained()
     save_checkpoint(tmp_path / "a", trained)
     save_checkpoint(tmp_path / "b", load_checkpoint(tmp_path / "a"))
-    for rel in ["manifest.json", "mapping.tsv", "scores.tsv"]:
-        assert (tmp_path / "a" / rel).read_bytes() == \
-            (tmp_path / "b" / rel).read_bytes()
+    assert _saved_files(tmp_path / "a") == _saved_files(tmp_path / "b")
+
+
+def test_checkpoint_holds_the_manifest_mapping_and_tensors_only(tmp_path):
+    trained = make_trained()
+    save_checkpoint(tmp_path / "ckpt", trained)
+    tensors = {f"tensors/{name}.bin" for name in trained.params.tensor_dict()}
+    assert set(_saved_files(tmp_path / "ckpt")) == \
+        {"manifest.json", "mapping.tsv", "tensors/out_emb.bin", *tensors}
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    assert list(manifest["files"]) == ["mapping"]
+
+
+def test_checkpoint_with_a_listed_score_table_still_loads(tmp_path):
+    # Older checkpoints also list the training score table, scores.tsv: it
+    # is checked by its sha256 and not read.
+    save_checkpoint(tmp_path / "ckpt", make_trained())
+    want = load_checkpoint(tmp_path / "ckpt")
+    scores = tmp_path / "ckpt" / "scores.tsv"
+    scores.write_text("#capacity\t4\n0\t0x1.8000000000000p+1\t0-1=0x1.0p-2;2-2=0x1.8p+0\n")
+    _edit_manifest(tmp_path / "ckpt", lambda m: m["files"].update(
+        scores={"file": "scores.tsv",
+                "sha256": hashlib.sha256(scores.read_bytes()).hexdigest()}))
+    back = load_checkpoint(tmp_path / "ckpt")
+    assert back.mapping.assignments == want.mapping.assignments
+    assert back.table is None
+    for name, arr in want.params.tensor_dict().items():
+        np.testing.assert_array_equal(back.params.tensor_dict()[name], arr)
+    np.testing.assert_array_equal(back.model.out_emb, want.model.out_emb)
+    scores.write_text("#capacity\t4\n")
+    with pytest.raises(CorruptionError, match=r"scores\.tsv: sha256 mismatch"):
+        load_checkpoint(tmp_path / "ckpt")
 
 
 def test_checkpoint_detects_tampered_blob(tmp_path):
@@ -308,22 +322,27 @@ def _extra_tensor(ckpt):
     (_first_mapping_row("0\t1-1;1-1"), "mapping.tsv: item 0 holds a path twice"),
     (_first_mapping_row("0\t1-1"), "mapping.tsv: an item with other than 2 paths"),
     (_first_mapping_row("0\t1-x;0-1"), "mapping.tsv: holds a byte other than digits"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(tensors=[])),
+     "manifest.json: tensors is not a JSON object"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(files=[])),
+     "manifest.json: files is not a JSON object"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(num_items="12")),
+     "manifest.json: num_items '12' is not an integer"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(num_items=12.0)),
+     "manifest.json: num_items 12.0 is not an integer"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(item_ids={"0": 100})),
+     "manifest.json: item_ids is not a list of integers"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m["item_ids"].__setitem__(3, [103])),
+     "manifest.json: item_ids is not a list of integers"),
 ], ids=["extra_rows", "missing_row", "short_item_ids", "num_items", "out_emb_rows",
         "item_emb_width", "mlp_in_width", "node_emb_depth", "extra_tensor",
-        "node_range", "path_depth", "path_twice", "path_count", "mapping_token"])
+        "node_range", "path_depth", "path_twice", "path_count", "mapping_token",
+        "tensors_list", "files_list", "num_items_text", "num_items_float",
+        "item_ids_object", "item_id_list"])
 def test_checkpoint_parts_must_agree(tmp_path, damage, message):
     save_checkpoint(tmp_path / "ckpt", make_trained())
     damage(tmp_path / "ckpt")
     with pytest.raises(CorruptionError, match=re.escape(message)):
-        load_checkpoint(tmp_path / "ckpt")
-
-
-def test_checkpoint_bad_score_token_names_scores_file(tmp_path):
-    save_checkpoint(tmp_path / "ckpt", make_trained())
-    path = tmp_path / "ckpt" / "scores.tsv"
-    path.write_text(path.read_text().replace("\t", "\tx", 1))
-    _fix_sha256(tmp_path / "ckpt", "scores.tsv")
-    with pytest.raises(CorruptionError, match=r"scores\.tsv: malformed row"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -351,16 +370,17 @@ def test_checkpoint_failed_write_keeps_the_old_one(tmp_path, monkeypatch):
     old = make_trained(seed=0)
     save_checkpoint(tmp_path / "ckpt", old)
 
-    def fail(path, table):
+    def fail(path, mapping):
         Path(path).write_text("half")
         raise OSError("disk full")
 
-    monkeypatch.setattr(persist, "write_scores", fail)
+    monkeypatch.setattr(persist, "write_mapping", fail)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(tmp_path / "ckpt", make_trained(seed=1))
     back = load_checkpoint(tmp_path / "ckpt")
     assert back.mapping.assignments == old.mapping.assignments
-    assert back.table.scores == old.table.scores
+    np.testing.assert_array_equal(back.model.out_emb,
+                                  old.model.out_emb.astype(np.float32))
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
 

@@ -348,7 +348,7 @@ def test_adaptive_beam_matches_reference(K, D, kind, per, target, tied, seed):
     params = init_zero(cfg, V) if tied else random_params(cfg, num_items=V, seed=seed)
     model = TrainedModel(cfg, params,
                          SoftmaxModel.init_random(V, cfg.emb_dim, substream(seed, "sm")),
-                         mapping, ScoreTable(cfg.score_capacity), list(range(V)))
+                         mapping, list(range(V)))
     behavior = substream(seed, "ctx").integers(0, V, size=3).tolist()
     ctx = model.context(behavior)
     got, B = adaptive_beam(ctx, params, mapping, target)
