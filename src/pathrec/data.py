@@ -169,8 +169,9 @@ def synth_clusters(num_clusters: int, items_per_cluster: int, num_users: int,
 
     Each user draws a primary cluster and a distinct secondary cluster;
     every interaction samples an item from the secondary cluster with
-    probability `mixture_weight`, else from the primary. Returns
-    (records, labels) where labels carries the planted assignments."""
+    probability `mixture_weight`, else from the primary; item i is in
+    cluster i // items_per_cluster. Returns (records, labels) where labels
+    carries the cluster sizes and each user's (primary, secondary) pair."""
     if num_clusters < 1:
         raise ValueError("num_clusters must be >= 1")
     if not 0 <= mixture_weight <= 1:
@@ -196,8 +197,6 @@ def synth_clusters(num_clusters: int, items_per_cluster: int, num_users: int,
     labels = {
         "num_clusters": num_clusters,
         "items_per_cluster": items_per_cluster,
-        "item_cluster": {i: i // items_per_cluster
-                         for i in range(num_clusters * items_per_cluster)},
         "user_clusters": user_clusters,
     }
     return records, labels

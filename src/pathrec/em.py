@@ -17,7 +17,8 @@ from .retrieval import ItemPathMapping, batched_beam_search
 # Score accumulation runs `batched_beam_search`, but `beam_search` stays
 # importable from here: perfbench/tracing.py wraps it in this module by name.
 from .retrieval import beam_search  # noqa: F401
-from .structure import PathId, StructureParams, UserBatch, penalty_value, quartic_size_penalty
+from .structure import (PathId, StructureParams, UserBatch, check_number_fields,
+                        penalty_value, quartic_size_penalty)
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +36,7 @@ class EmConfig:
     freeze_epoch: int = 2         # softmax output embeddings freeze from here
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.cd_iterations < 1:
             raise ValueError("cd_iterations must be >= 1")
         if self.epochs < 0 or self.batch_size < 1:

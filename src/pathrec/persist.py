@@ -76,15 +76,14 @@ def write_mapping(path, mapping: ItemPathMapping) -> None:
     """Write `mapping` in the `read_mapping` format."""
     rows = mapping.assignments
     chain = itertools.chain.from_iterable
-    path_format = "-".join(["%d"] * len(next(chain(rows), ())))
-    row_formats = {j: "%d\t" + ";".join([path_format] * j) + "\n"
-                   for j in set(map(len, rows))}
+    J, D = (len(rows[0]), len(rows[0][0])) if rows else (0, 0)
+    row_format = "%d\t" + ";".join(["-".join(["%d"] * D)] * J) + "\n"
     with open(path, "wb") as f:
         # A block of rows is one % format over a flat tuple of its ints.
         for lo in range(0, len(rows), _WRITE_BLOCK):
             block = rows[lo:lo + _WRITE_BLOCK]
             values = tuple(chain(chain(((v,), *paths)) for v, paths in enumerate(block, lo)))
-            f.write(("".join(map(row_formats.__getitem__, map(len, block))) % values).encode())
+            f.write((row_format * len(block) % values).encode())
         if not rows:
             f.write(b"\n")
 
@@ -92,92 +91,60 @@ def write_mapping(path, mapping: ItemPathMapping) -> None:
 #: What a mapping file holds besides digits, and a table that blanks it.
 _MAPPING_SEPARATORS = b"\t-;\n"
 _SEPARATORS_TO_SPACES = bytes.maketrans(_MAPPING_SEPARATORS, b" " * 4)
-_IS_DIGIT = np.zeros(256, dtype=bool)
-_IS_DIGIT[list(b"0123456789")] = True
-_TAB, _DASH, _SEMI, _NEWLINE = _MAPPING_SEPARATORS
 
 
-def read_mapping(path, cfg: StructureConfig | None = None) -> ItemPathMapping:
+def read_mapping(path, cfg: StructureConfig) -> ItemPathMapping:
     """The mapping of a `write_mapping` file.
 
     The file holds digits, tabs, '-', ';' and newlines only: row v is
-    `v<TAB>path;path;...`, each path its nodes joined by '-', and rows come
+    `v<TAB>path;path;...` with `cfg.paths_per_item` distinct paths, each
+    `cfg.depth` nodes in [0, `cfg.num_nodes`) joined by '-', and rows come
     in item order. Blank lines are skipped and the last newline is
-    optional. Every path has the same number of nodes; with `cfg`, every
-    item holds `cfg.paths_per_item` distinct paths of `cfg.depth` nodes in
-    [0, `cfg.num_nodes`). Anything else raises CorruptionError.
+    optional. Anything else raises CorruptionError.
     """
-    nodes, counts = _parse_mapping(path, None if cfg is None else cfg.depth)
-    top = int(nodes.max(initial=0))
-    if cfg is None and (top + 1)**nodes.shape[1] > 2**63:
-        raise CorruptionError(f"{path}: node {top} too large for a path code")
-    if cfg is not None:
-        K, J = cfg.num_nodes, cfg.paths_per_item
-        if top >= K:
-            raise CorruptionError(f"{path}: node {top} outside [0, {K})")
-        if np.any(counts != J):
-            raise CorruptionError(f"{path}: an item with other than {J} paths")
-        codes = np.sort(path_codes(nodes, K).reshape(-1, J), axis=1)
-        twice = np.flatnonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1))
-        if twice.size:
-            raise CorruptionError(f"{path}: item {twice[0]} holds a path twice")
-        del codes
-    return ItemPathMapping.from_paths(nodes, counts)
-
-
-def _parse_mapping(path, depth: int | None) -> tuple:
-    """`read_mapping`'s file as (nodes, counts): every path's nodes as an
-    (n, D) array in item order, its own dtype as narrow as they allow, and
-    each item's number of paths. D is `depth`, or the first path's."""
+    K, J, D = cfg.num_nodes, cfg.paths_per_item, cfg.depth
     raw = Path(path).read_bytes()
     if raw.translate(None, b"0123456789" + _MAPPING_SEPARATORS):
         raise CorruptionError(f"{path}: holds a byte other than digits, tab, '-', ';' "
                               "and newline")
     if not raw.endswith(b"\n"):
         raw += b"\n"
-    # One number precedes each separator, except the newline that ends a
-    # blank line. Position 0 follows a newline, the file's last byte.
+    # The newline that ends a blank line follows a newline. Position 0
+    # follows the file's last byte, a newline.
     buf = np.frombuffer(raw, dtype=np.uint8)
-    is_sep = ~_IS_DIGIT[buf]
+    is_sep = (buf < ord("0")) | (buf > ord("9"))
     seps, before = buf[is_sep], np.roll(buf, 1)[is_sep]
-    del is_sep
-    kept = (seps != _NEWLINE) | (before != _NEWLINE)
-    if not _IS_DIGIT[before[kept]].all():
-        raise CorruptionError(f"{path}: a row that is not item<TAB>path;path... "
-                              "with digits between separators")
-    seps = seps[kept]
-    del before, kept
-    # (fromstring reads a file of blank lines as one 0.)
+    seps = seps[(seps != ord("\n")) | (before != ord("\n"))]
+    del buf, is_sep, before
+    # Every row's separators are the same J*D + 1.
+    row = np.frombuffer(b"\t" + b";".join([b"-" * (D - 1)] * J) + b"\n", dtype=np.uint8)
+    if seps.size % row.size or np.any(seps.reshape(-1, row.size) != row):
+        raise CorruptionError(f"{path}: a row that is not item<TAB> then {J} paths "
+                              f"of {D} nodes")
+    # One number precedes each separator: with as many numbers as
+    # separators, none is missing. (fromstring reads blank lines as one 0.)
     numbers = np.fromstring(raw.translate(_SEPARATORS_TO_SPACES), dtype=np.int64,
                             sep=" ") if seps.size else np.zeros(0, dtype=np.int64)
-    del raw, buf
+    del raw
     if numbers.size != seps.size or np.any(numbers == np.iinfo(np.int64).max):
-        raise CorruptionError(f"{path}: a number too large to read")
-    # A row's first separator is its only tab.
-    row_ends = np.flatnonzero(seps == _NEWLINE)
-    is_tab = seps == _TAB
-    if is_tab.sum() != row_ends.size or not is_tab[row_ends[:-1] + 1].all() \
-            or (seps.size and not is_tab[0]):
-        raise CorruptionError(f"{path}: a row that is not item<TAB>path;path...")
-    items = numbers[is_tab]
-    wrong = np.flatnonzero(items != np.arange(items.size))
+        raise CorruptionError(f"{path}: a number missing or too large to read")
+    numbers = numbers.reshape(-1, row.size)
+    del seps
+    wrong = np.flatnonzero(numbers[:, 0] != np.arange(numbers.shape[0]))
     if wrong.size:
         raise CorruptionError(
-            f"{path}: row of item {items[wrong[0]]} where item {wrong[0]} belongs")
-    # A path runs from a tab or ';' to the next ';' or newline.
-    bounds = np.flatnonzero(seps != _DASH)
-    depths = np.diff(bounds)[seps[bounds[:-1]] != _NEWLINE]
-    del bounds
-    if depth is None:
-        depth = int(depths[0]) if depths.size else 0
-    if np.any(depths != depth):
-        raise CorruptionError(f"{path}: paths of {sorted(set(depths.tolist()) - {depth})} "
-                              f"nodes where paths have {depth}")
-    counts = np.diff(np.searchsorted(np.flatnonzero(seps == _SEMI), row_ends),
-                     prepend=0) + 1
-    nodes = numbers[~is_tab]
-    nodes = nodes.astype(np.min_scalar_type(nodes.max(initial=0)))
-    return nodes.reshape(int(counts.sum()), depth), counts
+            f"{path}: row of item {numbers[wrong[0], 0]} where item {wrong[0]} belongs")
+    top = int(numbers[:, 1:].max(initial=0))
+    if top >= K:
+        raise CorruptionError(f"{path}: node {top} outside [0, {K})")
+    paths = numbers[:, 1:].astype(np.min_scalar_type(top)).reshape(-1, J, D)
+    del numbers
+    codes = np.sort(path_codes(paths.reshape(-1, D), K).reshape(-1, J), axis=1)
+    twice = np.flatnonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1))
+    if twice.size:
+        raise CorruptionError(f"{path}: item {twice[0]} holds a path twice")
+    del codes
+    return ItemPathMapping.from_paths(paths)
 
 
 def check_replaceable(directory) -> None:
@@ -278,6 +245,8 @@ def _load_verified(root: Path, manifest: dict) -> TrainedModel:
         raise CorruptionError("manifest.json: item_ids is not a list of integers")
     if len(item_ids) != num_items:
         raise CorruptionError(f"manifest.json: {len(item_ids)} item ids for {num_items} items")
+    if len(set(item_ids)) != num_items:
+        raise CorruptionError("manifest.json: item_ids repeats an id")
     tensors = {name: read_tensor(root / meta["file"])
                for name, meta in manifest["tensors"].items()}
     want = _tensor_shapes(cfg, num_items)

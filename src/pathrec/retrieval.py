@@ -26,7 +26,7 @@ class ItemPathMapping:
     def from_assignments(cls, assignments,
                          paths: np.ndarray | None = None) -> "ItemPathMapping":
         """The mapping with its inverted index built. `assignments` holds
-        per item a tuple of equal-length int tuples, stored as given, with
+        per item a tuple of J equal-length int tuples, stored as given, with
         nodes in [0, K) for a K**D below 2**63. `paths`, when the caller has
         it, is every one of those paths in item order as an (n, D) array.
 
@@ -41,7 +41,6 @@ class ItemPathMapping:
         if paths is None:
             paths = np.array(keys.tolist(), dtype=np.int64).reshape(
                 keys.size, -1 if keys.size else 0)
-        counts = np.fromiter(map(len, assignments), np.int64, len(assignments))
         codes = path_codes(paths, int(paths.max(initial=0)) + 1)
         # A stable sort keeps each path's items in item order; codes that
         # fit 16 bits take NumPy's radix sort.
@@ -53,29 +52,44 @@ class ItemPathMapping:
         sizes = np.diff(starts, append=order.size)
         keys = keys[order[starts]]         # each path's tuple at its first entry
         del starts
-        # One int object per item, shared by all of its paths.
-        owners = np.repeat(np.arange(counts.size, dtype=object), counts)[order]
-        del order, counts
-        items, by_size = _tuples_by_size(owners, sizes)
-        del owners, sizes
+        # One int object per item, shared by all of its J paths.
+        J = order.size // max(len(assignments), 1)
+        owners = np.arange(len(assignments), dtype=object).repeat(J)[order]
+        del order
+        # Cut the paths' items into tuples a size at a time, paths listed by
+        # size: zip builds tuples of one size with no Python-level step per
+        # tuple.
+        by_size = np.argsort(sizes.astype(np.min_scalar_type(sizes.max(initial=0))),
+                             kind="stable")
+        grouped = sizes[by_size]
+        take = np.repeat(np.cumsum(sizes)[by_size] - np.cumsum(grouped), grouped)
+        del sizes
+        take += np.arange(take.size)
+        entries = _scalars(owners[take])
+        del owners, take
         keys = keys[by_size]
         del by_size
+        items: list = []
+        for size, n in zip(*np.unique(grouped, return_counts=True)):
+            items += itertools.islice(zip(*[entries] * size), n)
+        del entries, grouped
         inverted = dict(zip(_scalars(keys), items))
         return cls(assignments, inverted)
 
     @classmethod
-    def from_paths(cls, paths: np.ndarray, counts: np.ndarray) -> "ItemPathMapping":
-        """The mapping whose item v holds the next `counts[v]` rows of
-        `paths`, an (n, D) int array in item order."""
-        rows = np.fromiter(zip(*[_scalars(paths.ravel())] * paths.shape[1]), object,
-                           paths.shape[0])
-        built, by_size = _tuples_by_size(rows, counts)
-        del rows
-        at = np.empty_like(by_size)
-        at[by_size] = np.arange(by_size.size)
-        assignments = list(map(built.__getitem__, _scalars(at)))
-        del built, by_size, at
-        return cls.from_assignments(assignments, paths)
+    def from_paths(cls, paths: np.ndarray) -> "ItemPathMapping":
+        """The mapping whose item v holds the J paths `paths[v]`, of a
+        (V, J, D) int array; the items on a path share one tuple of it."""
+        J, D = paths.shape[1:]
+        flat = paths.reshape(-1, D)
+        _, first, inverse = np.unique(path_codes(flat, int(flat.max(initial=0)) + 1),
+                                      return_index=True, return_inverse=True)
+        shared = np.fromiter(zip(*[_scalars(flat[first].ravel())] * D), object,
+                             first.size)[inverse]
+        del first, inverse
+        assignments = list(zip(*[_scalars(shared)] * J))
+        del shared
+        return cls.from_assignments(assignments, flat)
 
     @functools.cached_property
     def path_sizes(self) -> dict:
@@ -111,7 +125,7 @@ class ItemPathMapping:
                 chosen.add(tuple(rng.integers(0, K, size=D).tolist()))
             paths[v] = sorted(chosen)
         del codes
-        return cls.from_paths(paths.reshape(-1, D), np.full(num_items, J))
+        return cls.from_paths(paths)
 
     @property
     def num_items(self) -> int:
@@ -137,24 +151,6 @@ def _scalars(arr: np.ndarray):
     at a time so that no list of them all is ever alive."""
     return itertools.chain.from_iterable(
         arr[lo:lo + _SCALAR_BLOCK].tolist() for lo in range(0, arr.size, _SCALAR_BLOCK))
-
-
-def _tuples_by_size(values: np.ndarray, sizes: np.ndarray) -> tuple:
-    """The object array `values` cut into consecutive tuples of `sizes`
-    entries each, as (tuples, by_size): the tuples listed by size, stably,
-    and the index in `sizes` of each."""
-    # zip builds tuples of one size with no Python-level step per tuple.
-    by_size = np.argsort(sizes.astype(np.min_scalar_type(sizes.max(initial=0))),
-                         kind="stable")
-    grouped = sizes[by_size]
-    take = np.repeat(np.cumsum(sizes)[by_size] - np.cumsum(grouped), grouped)
-    take += np.arange(take.size)
-    entries = _scalars(values[take])
-    del take
-    built: list = []
-    for size, n in zip(*np.unique(grouped, return_counts=True)):
-        built += itertools.islice(zip(*[entries] * size), n) if size else [()] * n
-    return built, by_size
 
 
 def beam_search(ctx: UserContext, params: StructureParams,

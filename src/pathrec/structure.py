@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,20 @@ PathId = tuple[int, ...]
 
 #: Sentinel item id marking padding inside a behavior sequence.
 PAD_ITEM = -1
+
+
+def check_number_fields(config) -> None:
+    """Raise ValueError unless each int field of the dataclass `config` holds
+    an int and each float field an int or a finite float: a JSON true, 2.0
+    or NaN passes the range checks and breaks the model later. A value that
+    is no number fails those checks' comparisons with a TypeError."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        whole = f.type.startswith("int")        # "int" or "int | None"
+        bad_float = isinstance(value, float) and (whole or not math.isfinite(value))
+        if isinstance(value, bool) or bad_float:
+            raise ValueError(f"{f.name} must be "
+                             f"{'an integer' if whole else 'a finite number'}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +52,7 @@ class StructureConfig:
     hidden_width: int | None = None  # MLP hidden units; None means 4*K
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.num_nodes < 1 or self.depth < 1 or self.paths_per_item < 1:
             raise ValueError("num_nodes, depth and paths_per_item must be >= 1")
         if self.num_paths >= 2**63:

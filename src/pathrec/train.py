@@ -5,7 +5,6 @@ together and produces a trained bundle ready for retrieval or persistence.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 from .core import OptimizerState
 from .data import EvalSplit, build_item_vocab, training_samples

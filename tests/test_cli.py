@@ -170,6 +170,11 @@ def test_train_refuses_to_replace_other_files(corpus60, tmp_path):
     ({"structure": {"hidden_width": -3}}, "hidden_width must be >= 1"),
     ({"training": {"optimizer": "adam", "softmax_weight": 1.0, "structure_weight": 1.0}},
      "unknown training keys ['optimizer', 'softmax_weight', 'structure_weight']"),
+    ({"structure": {"depth": 2.0}}, "depth must be an integer, not 2.0"),
+    ({"structure": {"beam_size": True, "depth": True}}, "depth must be an integer, not True"),
+    ({"training": {"batch_size": 2.5}}, "batch_size must be an integer, not 2.5"),
+    ({"training": {"learning_rate": float("nan")}}, "learning_rate must be a finite number"),
+    ({"structure": {"penalty_alpha": float("inf")}}, "penalty_alpha must be a finite number"),
 ])
 def test_train_bad_config_file_is_usage_error(corpus60, tmp_path, config, message):
     config_path = tmp_path / "config.json"
@@ -179,7 +184,9 @@ def test_train_bad_config_file_is_usage_error(corpus60, tmp_path, config, messag
                                       "--config", str(config_path)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert message in result.output
+    [error] = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert message in error
+    assert "Traceback" not in result.output
     assert not (tmp_path / "ck").exists()
 
 
@@ -292,6 +299,7 @@ MANIFEST_DAMAGES = {
     "files_list": lambda m: m.update(files=[]),
     "num_items_text": lambda m: m.update(num_items=str(m["num_items"])),
     "item_ids_object": lambda m: m.update(item_ids={str(i): i for i in m["item_ids"]}),
+    "item_id_duplicate": lambda m: m["item_ids"].__setitem__(-1, m["item_ids"][0]),
 }
 
 

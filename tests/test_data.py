@@ -153,7 +153,7 @@ def test_synth_shapes_and_planted_structure():
     assert len(records) == 400
     for r in records:
         primary, _ = labels["user_clusters"][r.user_id]
-        assert labels["item_cluster"][r.item_id] == primary
+        assert r.item_id // labels["items_per_cluster"] == primary
 
 
 def test_synth_secondary_cluster_distinct_and_mixture_rate():
@@ -162,7 +162,7 @@ def test_synth_secondary_cluster_distinct_and_mixture_rate():
     for r in records:
         primary, secondary = labels["user_clusters"][r.user_id]
         assert secondary != primary
-        cluster = labels["item_cluster"][r.item_id]
+        cluster = r.item_id // labels["items_per_cluster"]
         assert cluster in (primary, secondary)
         off += cluster == secondary
     rate = off / len(records)

@@ -80,15 +80,20 @@ def test_tensor_detects_truncation_and_bitflip(tmp_path):
         read_tensor(path)
 
 
+def mapping_cfg(K, D, J):
+    return StructureConfig(num_nodes=K, depth=D, paths_per_item=J, beam_size=1,
+                           score_capacity=J, penalty_alpha=0.0)
+
+
 def test_mapping_text_format(tmp_path):
     mapping = ItemPathMapping.from_assignments([((3, 1, 7), (0, 0, 2)),
-                                                ((5, 5, 5),)])
+                                                ((5, 5, 5), (0, 0, 2))])
     path = tmp_path / "mapping.tsv"
     write_mapping(path, mapping)
     lines = path.read_text().splitlines()
     assert lines[0] == "0\t3-1-7;0-0-2"
-    assert lines[1] == "1\t5-5-5"
-    back = read_mapping(path)
+    assert lines[1] == "1\t5-5-5;0-0-2"
+    back = read_mapping(path, mapping_cfg(8, 3, 2))
     assert back.assignments == mapping.assignments
     assert back.path_sizes == mapping.path_sizes
 
@@ -97,30 +102,34 @@ def test_mapping_rows_out_of_order_are_corruption(tmp_path):
     path = tmp_path / "mapping.tsv"
     path.write_text("0\t0-1\n2\t1-1\n")
     with pytest.raises(CorruptionError, match="item 1"):
-        read_mapping(path)
+        read_mapping(path, mapping_cfg(3, 2, 1))
 
 
-# Per item 1-4 paths of one depth, duplicates allowed, nodes up to 999.
-ASSIGNMENTS = st.integers(1, 3).flatmap(lambda depth: st.lists(
-    st.lists(st.tuples(*[st.integers(0, 999)] * depth), min_size=1, max_size=4)
-    .map(tuple), max_size=12))
+# Per example a depth D and J, then per item J distinct paths of D nodes up
+# to 999.
+SHAPED_ASSIGNMENTS = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(st.just(shape), st.lists(
+        st.lists(st.tuples(*[st.integers(0, 999)] * shape[0]), min_size=shape[1],
+                 max_size=shape[1], unique=True).map(tuple), max_size=12)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(ASSIGNMENTS, st.data())
-def test_mapping_file_matches_per_line_oracle(tmp_path_factory, assignments, data):
+@given(SHAPED_ASSIGNMENTS, st.data())
+def test_mapping_file_matches_per_line_oracle(tmp_path_factory, drawn, data):
+    (D, J), assignments = drawn
+    cfg = mapping_cfg(1000, D, J)
     path = tmp_path_factory.mktemp("mapping") / "mapping.tsv"
     write_mapping(path, ItemPathMapping.from_assignments(assignments))
     text = path.read_text()
     assert text == reference.mapping_text(assignments)
-    assert read_mapping(path).assignments == assignments
+    assert read_mapping(path, cfg).assignments == assignments
     # Blank lines anywhere and a missing last newline read the same.
     lines = text.splitlines()
     for at in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
         lines.insert(at, "")
     text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
     path.write_text(text)
-    assert read_mapping(path).assignments == reference.parse_mapping(text) == assignments
+    assert read_mapping(path, cfg).assignments == reference.parse_mapping(text) == assignments
 
 
 @pytest.mark.parametrize("text", [
@@ -132,7 +141,7 @@ def test_mapping_grammar_violations_are_corruption(tmp_path, text):
     path = tmp_path / "mapping.tsv"
     path.write_text(text)
     with pytest.raises(CorruptionError, match="mapping.tsv"):
-        read_mapping(path)
+        read_mapping(path, mapping_cfg(3, 2, 1))
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -318,9 +327,11 @@ def _extra_tensor(ckpt):
     (_rewrite_tensor("node_emb", (3, 3, 4)), "tensors ['node_emb']"),
     (_extra_tensor, "tensors ['bogus']"),
     (_first_mapping_row("0\t9-9;0-1"), "mapping.tsv: node 9 outside [0, 3)"),
-    (_first_mapping_row("0\t1-2-0;0-1"), "mapping.tsv: paths of [3] nodes where paths have 2"),
+    (_first_mapping_row("0\t1-2-0;0-1"),
+     "mapping.tsv: a row that is not item<TAB> then 2 paths of 2 nodes"),
     (_first_mapping_row("0\t1-1;1-1"), "mapping.tsv: item 0 holds a path twice"),
-    (_first_mapping_row("0\t1-1"), "mapping.tsv: an item with other than 2 paths"),
+    (_first_mapping_row("0\t1-1"),
+     "mapping.tsv: a row that is not item<TAB> then 2 paths of 2 nodes"),
     (_first_mapping_row("0\t1-x;0-1"), "mapping.tsv: holds a byte other than digits"),
     (lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(tensors=[])),
      "manifest.json: tensors is not a JSON object"),
@@ -334,11 +345,20 @@ def _extra_tensor(ckpt):
      "manifest.json: item_ids is not a list of integers"),
     (lambda ckpt: _edit_manifest(ckpt, lambda m: m["item_ids"].__setitem__(3, [103])),
      "manifest.json: item_ids is not a list of integers"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m["item_ids"].__setitem__(11, 100)),
+     "manifest.json: item_ids repeats an id"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m["config"].update(beam_size=True)),
+     "beam_size must be an integer, not True"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m["config"].update(penalty_alpha=False)),
+     "penalty_alpha must be a finite number, not False"),
+    (lambda ckpt: _edit_manifest(ckpt, lambda m: m["config"].update(depth=2.0)),
+     "depth must be an integer, not 2.0"),
 ], ids=["extra_rows", "missing_row", "short_item_ids", "num_items", "out_emb_rows",
         "item_emb_width", "mlp_in_width", "node_emb_depth", "extra_tensor",
         "node_range", "path_depth", "path_twice", "path_count", "mapping_token",
         "tensors_list", "files_list", "num_items_text", "num_items_float",
-        "item_ids_object", "item_id_list"])
+        "item_ids_object", "item_id_list", "item_id_duplicate", "config_bool",
+        "config_float_bool", "config_float"])
 def test_checkpoint_parts_must_agree(tmp_path, damage, message):
     save_checkpoint(tmp_path / "ckpt", make_trained())
     damage(tmp_path / "ckpt")

@@ -49,10 +49,12 @@ def test_mapping_round_trip_and_size_invariant():
     assert rebuilt.inverted == mapping.inverted
 
 
-# Per item 1-4 paths of one depth, duplicates allowed, nodes up to 999.
-ASSIGNMENTS = st.integers(1, 3).flatmap(lambda depth: st.lists(
-    st.lists(st.tuples(*[st.integers(0, 999)] * depth), min_size=1, max_size=4)
-    .map(tuple), max_size=12))
+# Per example a depth D and J, then per item J paths of D nodes up to 999,
+# duplicates allowed.
+ASSIGNMENTS = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.tuples(*[st.integers(0, 999)] * shape[0]), min_size=shape[1],
+                 max_size=shape[1]).map(tuple), max_size=12))
 
 
 @settings(max_examples=80, deadline=None)
@@ -76,6 +78,19 @@ def test_random_init_matches_per_item_oracle(K, D, J, seed):
     # The generator is left where the per-item redraws leave it.
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
     assert mapping.inverted == ItemPathMapping.from_assignments(mapping.assignments).inverted
+
+
+@pytest.mark.parametrize("reread", [False, True], ids=["random_init", "read_mapping"])
+def test_items_on_one_path_share_its_tuple(tmp_path, reread):
+    cfg = make_cfg(K=3, D=2, J=2)
+    mapping = ItemPathMapping.random_init(cfg, 40, substream(2, "mapping"))
+    if reread:
+        write_mapping(tmp_path / "mapping.tsv", mapping)
+        mapping = read_mapping(tmp_path / "mapping.tsv", cfg)
+    assert len({id(p) for paths in mapping.assignments for p in paths}) == \
+        len(mapping.inverted)
+    assert all(p is key for paths in mapping.assignments for p in paths
+               for key in mapping.inverted if key == p)
 
 
 def test_beam_b1_is_greedy_chain():
@@ -265,7 +280,7 @@ def test_size_sums_are_sorted_size_cumsums(tmp_path):
         table.counts[v] = float(rng.integers(1, 10))
     assigned = coordinate_descent_assign(table, 12, 3, 2, 0.1, 2, 3,
                                          substream(3, "cd"))
-    for mapping in (drawn, read_mapping(tmp_path / "mapping.tsv"), assigned):
+    for mapping in (drawn, read_mapping(tmp_path / "mapping.tsv", cfg), assigned):
         sizes = sorted(mapping.path_sizes.values(), reverse=True)
         assert mapping.size_sums.tolist() == [0] + list(itertools.accumulate(sizes))
 
