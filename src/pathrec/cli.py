@@ -319,15 +319,15 @@ def inspect(ckpt_path):
     start = time.perf_counter()
     trained = _load(ckpt_path)
     load_s = time.perf_counter() - start
-    sizes = sorted(trained.mapping.path_sizes.values(), reverse=True)
+    sizes = trained.mapping.sizes
     emit({
         "event": "inspect",
         "load_s": load_s,
         "config": dataclasses.asdict(trained.cfg),
         "num_items": trained.num_items,
-        "nonempty_paths": len(sizes),
-        "top_path_size": sizes[0] if sizes else 0,
-        "mean_path_size": sum(sizes) / len(sizes) if sizes else 0.0,
+        "nonempty_paths": sizes.size,
+        "top_path_size": int(sizes.max(initial=0)),
+        "mean_path_size": int(sizes.sum()) / sizes.size if sizes.size else 0.0,
     })
 
 

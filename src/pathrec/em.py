@@ -266,29 +266,25 @@ def em_epoch(samples, params: StructureParams, model: SoftmaxModel,
         cfg.paths_per_item, em_cfg.cd_iterations, rng_mapping,
         prev_mapping=mapping)
     stage_s["m_step_s"] = time.perf_counter() - t0
-    sizes = sorted(new_mapping.path_sizes.values(), reverse=True)
+    sizes = new_mapping.sizes
+    hist_sizes, hist_counts = np.unique(sizes, return_counts=True)
     num_items = mapping.num_items
-    changed = sum(set(old) != set(new) for old, new in
-                  zip(mapping.assignments, new_mapping.assignments))
+    # Each item holds J distinct paths, so equal sorted paths are equal sets.
+    churn = float(np.any(mapping.item_paths() != new_mapping.item_paths(),
+                         axis=(1, 2)).mean()) if num_items else 0.0
     stats = {
         "epoch": epoch_index,
         "mean_loss": float(np.mean(losses)) if losses else 0.0,
         "batch_losses": [float(x) for x in losses],
         "penalty": penalty,
-        "top_path_size": sizes[0] if sizes else 0,
-        "nonempty_paths": len(sizes),
-        "path_size_histogram": _histogram(sizes),
+        "top_path_size": int(sizes.max(initial=0)),
+        "nonempty_paths": sizes.size,
+        "path_size_histogram": dict(zip(map(str, hist_sizes.tolist()),
+                                        hist_counts.tolist())),
         "cold_items": sum(1 for v in range(num_items) if not table.scores.get(v)),
-        "mapping_churn": changed / num_items if num_items else 0.0,
+        "mapping_churn": churn,
         "softmax_frozen": freeze,
         **stage_s,
     }
     stats["seconds"] = time.perf_counter() - t_epoch
     return new_mapping, stats
-
-
-def _histogram(sizes) -> dict:
-    hist: dict = {}
-    for s in sizes:
-        hist[s] = hist.get(s, 0) + 1
-    return {str(k): hist[k] for k in sorted(hist)}

@@ -144,7 +144,7 @@ def read_mapping(path, cfg: StructureConfig) -> ItemPathMapping:
     if twice.size:
         raise CorruptionError(f"{path}: item {twice[0]} holds a path twice")
     del codes
-    return ItemPathMapping.from_paths(paths)
+    return ItemPathMapping.from_assignments(paths=paths)
 
 
 def check_replaceable(directory) -> None:

@@ -14,97 +14,123 @@ from .structure import StructureConfig, StructureParams, UserContext
 from .structure import batched_layer_log_probs, user_embedding
 
 
-@dataclass
+@dataclass(eq=False)
 class ItemPathMapping:
-    """The item -> J paths assignment and the path -> items inverted index
-    over its non-empty paths."""
+    """The item -> J paths assignment and its path -> items inverted index.
+
+    The index is in CSR form over the non-empty paths. A path's code is
+    `path_codes` in base `base`, one past the largest node assigned, so
+    code order is path order. `codes` holds the distinct codes ascending;
+    path `codes[p]` holds the items `items[indptr[p]:indptr[p + 1]]`, in
+    item order, an item listed once per time it holds the path. `inverted`
+    and `path_sizes` are dict views derived from these arrays on first
+    read, kept while the benchmark's checks read them; serving never does.
+    """
 
     assignments: list          # item id -> tuple of J PathIds
-    inverted: dict             # non-empty PathId -> item ids, an ascending tuple
+    base: int                  # the code base
+    codes: np.ndarray          # (P,) distinct path codes, ascending
+    indptr: np.ndarray         # (P + 1,) each path's slice of `items`
+    items: np.ndarray          # (V * J,) item ids, path by path
 
     @classmethod
-    def from_assignments(cls, assignments,
+    def from_assignments(cls, assignments=None,
                          paths: np.ndarray | None = None) -> "ItemPathMapping":
-        """The mapping with its inverted index built. `assignments` holds
-        per item a tuple of J equal-length int tuples, stored as given, with
-        nodes in [0, K) for a K**D below 2**63. `paths`, when the caller has
-        it, is every one of those paths in item order as an (n, D) array.
-
-        The index keys are the assignments' own tuples, listed by path
-        size and then in path order; a path's items are in item order, an
-        item listed once per time it holds the path.
+        """The mapping with its index built, of one of two inputs:
+        `assignments`, per item a tuple of J tuples of D ints, stored as
+        given; or `paths`, a (V, J, D) int array, whose items on one path
+        then share one tuple of it. Nodes are in [0, K) for a K**D below
+        2**63.
         """
         # Each temporary is freed once used: this build sets the memory
         # peak of a checkpoint load.
-        assignments = list(assignments)
-        keys = np.fromiter(itertools.chain.from_iterable(assignments), object)
         if paths is None:
-            paths = np.array(keys.tolist(), dtype=np.int64).reshape(
-                keys.size, -1 if keys.size else 0)
-        codes = path_codes(paths, int(paths.max(initial=0)) + 1)
+            assignments = list(assignments)
+            J, D = (len(assignments[0]), len(assignments[0][0])) if assignments else (0, 0)
+            paths = np.array(assignments, dtype=np.int64).reshape(len(assignments), J, D)
+        V, J, D = paths.shape
+        flat = paths.reshape(V * J, D)
+        base = int(flat.max(initial=0)) + 1
+        codes = path_codes(flat, base)
         # A stable sort keeps each path's items in item order; codes that
         # fit 16 bits take NumPy's radix sort.
         order = np.argsort(codes.astype(np.min_scalar_type(codes.max(initial=0))),
                            kind="stable")
         codes = codes[order]
         starts = np.flatnonzero(np.diff(codes, prepend=-1))
-        del codes
-        sizes = np.diff(starts, append=order.size)
-        keys = keys[order[starts]]         # each path's tuple at its first entry
-        del starts
-        # One int object per item, shared by all of its J paths.
-        J = order.size // max(len(assignments), 1)
-        owners = np.arange(len(assignments), dtype=object).repeat(J)[order]
-        del order
-        # Cut the paths' items into tuples a size at a time, paths listed by
-        # size: zip builds tuples of one size with no Python-level step per
-        # tuple.
-        by_size = np.argsort(sizes.astype(np.min_scalar_type(sizes.max(initial=0))),
-                             kind="stable")
-        grouped = sizes[by_size]
-        take = np.repeat(np.cumsum(sizes)[by_size] - np.cumsum(grouped), grouped)
-        del sizes
-        take += np.arange(take.size)
-        entries = _scalars(owners[take])
-        del owners, take
-        keys = keys[by_size]
-        del by_size
-        items: list = []
-        for size, n in zip(*np.unique(grouped, return_counts=True)):
-            items += itertools.islice(zip(*[entries] * size), n)
-        del entries, grouped
-        inverted = dict(zip(_scalars(keys), items))
-        return cls(assignments, inverted)
+        codes = codes[starts]
+        indptr = np.append(starts, order.size)
+        if assignments is None:
+            # One tuple per distinct path, from the nodes of its first entry.
+            shared = np.fromiter(zip(*[_scalars(flat[order[starts]].ravel())] * D),
+                                 object, starts.size)
+            del starts
+            path_of = np.empty(order.size, dtype=np.intp)
+            path_of[order] = np.repeat(np.arange(codes.size), np.diff(indptr))
+            shared = shared[path_of]
+            del path_of
+            assignments = list(zip(*[_scalars(shared)] * J))
+            del shared
+        return cls(assignments, base, codes, indptr, order // max(J, 1))
 
-    @classmethod
-    def from_paths(cls, paths: np.ndarray) -> "ItemPathMapping":
-        """The mapping whose item v holds the J paths `paths[v]`, of a
-        (V, J, D) int array; the items on a path share one tuple of it."""
-        J, D = paths.shape[1:]
-        flat = paths.reshape(-1, D)
-        _, first, inverse = np.unique(path_codes(flat, int(flat.max(initial=0)) + 1),
-                                      return_index=True, return_inverse=True)
-        shared = np.fromiter(zip(*[_scalars(flat[first].ravel())] * D), object,
-                             first.size)[inverse]
-        del first, inverse
-        assignments = list(zip(*[_scalars(shared)] * J))
-        del shared
-        return cls.from_assignments(assignments, flat)
-
-    @functools.cached_property
-    def path_sizes(self) -> dict:
-        """Items per non-empty path; an item counts once per assigned path."""
-        return {path: len(items) for path, items in self.inverted.items()}
+    @property
+    def sizes(self) -> np.ndarray:
+        """Items per non-empty path, in path order; an item counts once per
+        assigned path."""
+        return np.diff(self.indptr)
 
     @functools.cached_property
     def size_sums(self) -> np.ndarray:
         """Entry B is the total size of the B largest paths, from 0 at B = 0
         to every assignment at B = the number of non-empty paths."""
-        sizes = np.fromiter(map(len, self.inverted.values()), np.int64,
-                            len(self.inverted))
-        sums = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(np.sort(sizes)[::-1], out=sums[1:])
+        sums = np.zeros(self.codes.size + 1, dtype=np.int64)
+        np.cumsum(np.sort(self.sizes)[::-1], out=sums[1:])
         return sums
+
+    def item_paths(self) -> np.ndarray:
+        """Each item's paths as a (V, J, D) node array, in path order."""
+        V, D = self.num_items, len(self.assignments[0][0]) if self.assignments else 0
+        nodes = self.codes[:, None] // self.base ** np.arange(D - 1, -1, -1) % self.base
+        by_item = np.argsort(self.items, kind="stable")
+        return np.repeat(nodes, self.sizes, axis=0)[by_item].reshape(
+            V, self.items.size // max(V, 1), D)
+
+    @functools.cached_property
+    def inverted(self) -> dict:
+        """Non-empty path -> its items, an ascending tuple, derived from the
+        CSR arrays. The keys are the assignments' own tuples, listed by path
+        size and then in path order."""
+        V, P = self.num_items, self.codes.size
+        if not P:
+            return {}
+        J = self.items.size // V
+        # A path's key is the tuple that its first item holds at its code.
+        held = np.fromiter(itertools.chain.from_iterable(self.assignments), object,
+                           V * J).reshape(V, J)[self.items[self.indptr[:-1]]]
+        nodes = np.array(held.ravel().tolist(), dtype=np.int64).reshape(P * J, -1)
+        at = path_codes(nodes, self.base).reshape(P, J) == self.codes[:, None]
+        keys = held[np.arange(P), at.argmax(axis=1)]
+        del held, nodes, at
+        # Cut the paths' items into tuples a size at a time, paths listed by
+        # size: zip builds tuples of one size with no Python-level step per
+        # tuple. One int object per item is shared by all of its paths.
+        sizes = self.sizes
+        by_size = np.argsort(sizes.astype(np.min_scalar_type(sizes.max(initial=0))),
+                             kind="stable")
+        grouped = sizes[by_size]
+        take = np.repeat(self.indptr[1:][by_size] - np.cumsum(grouped), grouped)
+        take += np.arange(take.size)
+        entries = _scalars(np.arange(V, dtype=object)[self.items[take]])
+        del take
+        items: list = []
+        for size, n in zip(*np.unique(grouped, return_counts=True)):
+            items += itertools.islice(zip(*[entries] * size), n)
+        return dict(zip(_scalars(keys[by_size]), items))
+
+    @functools.cached_property
+    def path_sizes(self) -> dict:
+        """Items per non-empty path, keyed and ordered as `inverted`."""
+        return {path: len(items) for path, items in self.inverted.items()}
 
     @classmethod
     def random_init(cls, cfg: StructureConfig, num_items: int,
@@ -125,7 +151,7 @@ class ItemPathMapping:
                 chosen.add(tuple(rng.integers(0, K, size=D).tolist()))
             paths[v] = sorted(chosen)
         del codes
-        return cls.from_paths(paths)
+        return cls.from_assignments(paths=paths)
 
     @property
     def num_items(self) -> int:
@@ -231,11 +257,6 @@ def batched_beam_search(u: np.ndarray, params: StructureParams,
 #: One retrieved candidate: an item id and its best beam-path log-prob.
 CANDIDATE_DTYPE = np.dtype([("item", np.int64), ("logp", np.float64)])
 
-#: Beams holding at most this many (path, item) entries are expanded by a
-#: dict walk: below it, the array path's fixed cost of some thirty NumPy
-#: calls outweighs its per-item saving.
-DICT_WALK_MAX = 256
-
 
 def retrieve_candidates(ctx: UserContext, params: StructureParams,
                         mapping: ItemPathMapping, beam_size: int | None = None,
@@ -249,34 +270,32 @@ def retrieve_candidates(ctx: UserContext, params: StructureParams,
     `.tolist()` gives those pairs. `u` is the user's embedding when the
     caller has it.
     """
-    return _expand(beam_search(ctx, params, beam_size, u), mapping)
+    if u is None:
+        u = user_embedding(ctx, params)
+    paths, logps = batched_beam_search(u[None], params, beam_size)
+    return _expand(paths[0], logps[0], mapping)
 
 
-def _expand(beam: list, mapping: ItemPathMapping) -> np.ndarray:
-    """`retrieve_candidates`' array for a beam of (path, log-prob) pairs."""
-    # The beam comes best first, so an item's best log-prob is that of the
-    # first path holding it. The walk gives up once it has seen more than
-    # DICT_WALK_MAX entries, and the array path below takes over.
-    inverted = mapping.inverted
-    best: dict = {}
-    seen = 0
-    for path, lp in beam:
-        on_path = inverted.get(path, ())
-        seen += len(on_path)
-        if seen > DICT_WALK_MAX:
-            break
-        for item in on_path:
-            if item not in best:
-                best[item] = lp
-    else:
-        ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-        return np.fromiter(ranked, CANDIDATE_DTYPE, len(ranked))
-    lists = [inverted.get(path, ()) for path, _ in beam]
-    n = len(beam)
-    counts = np.fromiter(map(len, lists), np.int64, n)
-    # Sort (item, beam rank) keys and keep the first key of each item.
-    keys = np.fromiter(itertools.chain.from_iterable(lists), np.int64,
-                       counts.sum()) * n + np.repeat(np.arange(n), counts)
+def _expand(paths: np.ndarray, logps: np.ndarray, mapping: ItemPathMapping) -> np.ndarray:
+    """`retrieve_candidates`' array for a beam of (B, D) paths and their
+    (B,) log-probs, best first."""
+    n = logps.size
+    if not mapping.codes.size:
+        return np.empty(0, dtype=CANDIDATE_DTYPE)
+    codes = path_codes(paths, mapping.base)
+    if paths.max() >= mapping.base:
+        # Such a path holds no item of the mapping; code -1 is no path's.
+        codes[paths.max(axis=1) >= mapping.base] = -1
+    # Each beam path's CSR slice; an absent code's is empty.
+    at = np.minimum(np.searchsorted(mapping.codes, codes), mapping.codes.size - 1)
+    lo = mapping.indptr[at]
+    counts = np.where(mapping.codes[at] == codes, mapping.indptr[at + 1] - lo, 0)
+    ends = np.cumsum(counts)
+    at = np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])
+    # The beam comes best first, so an item's best log-prob is that of its
+    # best-ranked path. Sort (item, beam rank) keys and keep the first key
+    # of each item.
+    keys = mapping.items[at] * n + np.repeat(np.arange(n), counts)
     keys.sort()
     items = keys // n
     first = np.ones(keys.size, dtype=bool)
@@ -286,7 +305,6 @@ def _expand(beam: list, mapping: ItemPathMapping) -> np.ndarray:
     # Items are ascending, so a stable sort by log-prob breaks ties toward
     # the smaller id. Sort by each rank's tie group, the first rank with an
     # equal log-prob: keys that small take NumPy's radix sort.
-    logps = np.fromiter((lp for _, lp in beam), np.float64, n)
     tie = np.searchsorted(-logps, -logps).astype(np.min_scalar_type(n))
     order = np.argsort(tie[rank], kind="stable")
     out = np.empty(order.size, dtype=CANDIDATE_DTYPE)
@@ -364,7 +382,8 @@ def adaptive_beam(ctx: UserContext, params: StructureParams,
         u = user_embedding(ctx, params)
     memo = _LayerMemo(u, params)
     while True:
-        candidates = _expand(beam_search(ctx, params, B, u, memo), mapping)
+        paths, logps = batched_beam_search(u[None], params, B, memo)
+        candidates = _expand(paths[0], logps[0], mapping)
         if len(candidates) >= want or B >= cfg.num_paths:
             return candidates, B
         B = min(2 * B, cfg.num_paths)

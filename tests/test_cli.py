@@ -1,10 +1,21 @@
+import hashlib
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pathrec
 from pathrec.cli import cli
 from pathrec.data import synth_clusters, write_interactions_csv
+from pathrec.persist import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +285,9 @@ def test_inspect_command(checkpoint):
     assert event["config"]["num_nodes"] == 4
     assert event["nonempty_paths"] >= 1
     assert event["top_path_size"] >= event["mean_path_size"]
+    sizes = list(load_checkpoint(checkpoint).mapping.path_sizes.values())
+    assert (event["nonempty_paths"], event["top_path_size"], event["mean_path_size"]) == \
+        (len(sizes), max(sizes), sum(sizes) / len(sizes))
     assert event["load_s"] > 0
     assert "scored_items" not in event      # the score table is not saved
 
@@ -320,3 +334,67 @@ def test_corrupt_manifest_is_clean_error(checkpoint, tmp_path, damage):
     assert isinstance(result.exception, SystemExit)
     assert "manifest.json" in result.output
     assert len(result.output.strip().splitlines()) == 1
+
+
+def mapping_is_valid(raw: bytes, cfg: dict, num_items: int) -> bool:
+    """Whether a checkpoint of `num_items` items loads with `raw` as its
+    mapping file, decided one row at a time."""
+    K, J, D = cfg["num_nodes"], cfg["paths_per_item"], cfg["depth"]
+    path = rb"[0-9]+" + rb"-[0-9]+" * (D - 1)
+    row = re.compile(rb"[0-9]+\t" + path + (rb";" + path) * (J - 1))
+    rows = [line for line in raw.split(b"\n") if line]
+    if len(rows) != num_items:
+        return False
+    for v, line in enumerate(rows):
+        if not row.fullmatch(line):
+            return False
+        item, paths = line.split(b"\t")
+        paths = {tuple(map(int, p.split(b"-"))) for p in paths.split(b";")}
+        if int(item) != v or len(paths) != J or max(map(max, paths)) >= K:
+            return False
+    return True
+
+
+# A byte edit: what to do, where (a fraction of the file) and which byte,
+# drawn mostly from the mapping alphabet so that edits reach past the
+# byte check.
+EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                           st.floats(0, 1, exclude_max=True),
+                           st.one_of(st.sampled_from(list(b"0123456789\t-;\n")),
+                                     st.integers(0, 255))),
+                 min_size=1, max_size=3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(EDITS)
+def test_corrupt_mapping_is_clean_error(checkpoint, tmp_path_factory, edits):
+    # The manifest's sha256 is fixed up, so the damaged bytes reach the
+    # mapping parser, run by the CLI in a process of its own.
+    broken = tmp_path_factory.mktemp("broken") / "model"
+    shutil.copytree(checkpoint, broken)
+    raw = bytearray((broken / "mapping.tsv").read_bytes())
+    for kind, where, byte in edits:
+        at = int(where * len(raw))
+        if kind == "replace":
+            raw[at] = byte
+        elif kind == "insert":
+            raw.insert(at, byte)
+        else:
+            del raw[at]
+    (broken / "mapping.tsv").write_bytes(raw)
+    manifest = json.loads((broken / "manifest.json").read_text())
+    manifest["files"]["mapping"]["sha256"] = hashlib.sha256(raw).hexdigest()
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    valid = mapping_is_valid(bytes(raw), manifest["config"], len(manifest["item_ids"]))
+    env = dict(os.environ, PYTHONPATH=str(Path(pathrec.__file__).parents[1]))
+    for args in (["inspect"], ["retrieve", "--user-seq", "1,2,3", "--k", "5"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "pathrec.cli", args[0], "--checkpoint", str(broken),
+             *args[1:]], capture_output=True, text=True, timeout=120, env=env)
+        assert "Traceback" not in result.stdout + result.stderr
+        if valid:
+            assert result.returncode == 0, result.stderr
+        else:
+            assert result.returncode == 1, result.stdout + result.stderr
+            [line] = result.stderr.strip().splitlines()
+            assert "mapping.tsv" in line

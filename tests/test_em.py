@@ -261,12 +261,24 @@ def test_em_epoch_concentrates_single_cluster_data():
     opt = OptimizerState(0.02)
     em_cfg = EmConfig(epochs=2, batch_size=16, num_negatives=5, freeze_epoch=2)
     for epoch in range(2):
+        prev = mapping
         mapping, stats = em_epoch(samples, params, model, mapping, table, opt,
                                   em_cfg, epoch, substream(0, "neg"),
                                   substream(epoch, "shuffle"),
                                   substream(0, "cd"))
     assert stats["top_path_size"] >= num_items // 3
     assert stats["nonempty_paths"] <= 8
+    # The health signals, read off the index arrays, agree with the path
+    # size dicts and the assignment tuples, the histogram in size order.
+    sizes = sorted(mapping.path_sizes.values())
+    assert stats["top_path_size"] == sizes[-1]
+    assert stats["nonempty_paths"] == len(sizes)
+    assert list(stats["path_size_histogram"].items()) == \
+        [(str(n), sizes.count(n)) for n in sorted(set(sizes))]
+    assert stats["mapping_churn"] == sum(
+        set(a) != set(b) for a, b in zip(prev.assignments, mapping.assignments)) / num_items
+    assert stats["penalty"] == cfg.penalty_alpha * sum(
+        n**4 / 4 for n in prev.path_sizes.values())
 
 
 def test_em_epoch_stats_shape():

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import reference
 from pathrec import retrieval
+from pathrec.bench import synthetic_model
 from pathrec.em import ScoreTable, coordinate_descent_assign
-from pathrec.persist import read_mapping, write_mapping
+from pathrec.persist import load_checkpoint, read_mapping, save_checkpoint, write_mapping
 from pathrec.reranker import SoftmaxModel, rerank
 from pathrec.retrieval import (ItemPathMapping, adaptive_beam, batched_beam_search,
                                beam_search, retrieve_candidates)
@@ -63,6 +64,20 @@ def test_index_matches_per_item_oracle(assignments):
     mapping = ItemPathMapping.from_assignments(assignments)
     want = reference.inverted_index(assignments)
     assert mapping.assignments == assignments
+    # The CSR arrays: one code per distinct path, ascending in path order,
+    # and each path's slice holding its items in item order.
+    paths = sorted(want)
+    base = 1 + max((n for p in paths for n in p), default=0)
+    assert mapping.base == base
+    assert mapping.codes.tolist() == [sum(n * base**d for d, n in enumerate(reversed(p)))
+                                      for p in paths]
+    assert np.all(np.diff(mapping.codes) > 0)
+    assert mapping.indptr[0] == 0 and np.all(np.diff(mapping.indptr) >= 0)
+    assert mapping.sizes.tolist() == [len(want[p]) for p in paths]
+    for p, lo, hi in zip(paths, mapping.indptr, mapping.indptr[1:]):
+        assert np.all(np.diff(mapping.items[lo:hi]) >= 0)
+        assert mapping.items[lo:hi].tolist() == want[p]
+    # The dict views keep their layout.
     assert list(mapping.inverted) == sorted(want, key=lambda p: (len(want[p]), p))
     assert {p: list(items) for p, items in mapping.inverted.items()} == want
     assert all(type(items) is tuple for items in mapping.inverted.values())
@@ -208,28 +223,56 @@ def dict_walk_candidates(ctx, params, mapping, beam_size):
     return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-# -1 sends every beam down the array path, a huge limit down the dict walk.
-@pytest.mark.parametrize("walk_max", [-1, 10**9])
+# Small beams over a few items, and wide ones over ten times as many,
+# holding some hundreds of (path, item) entries.
+@pytest.mark.parametrize("items_scale, max_B", [(1, 4), (10, 64)], ids=["small", "large"])
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3),
        st.integers(1, 40), st.integers(1, 64), st.booleans(),
        st.integers(0, 500))
-def test_retrieve_candidates_matches_dict_walk(walk_max, K, D, J, num_items,
+def test_retrieve_candidates_matches_dict_walk(items_scale, max_B, K, D, J, num_items,
                                                B, tied, seed):
     J = min(J, K**D)
+    num_items *= items_scale
     cfg = make_cfg(K=K, D=D, J=J, beam_size=1)
     # Zero parameters make every path tie; random ones rarely do.
     params = (init_zero(cfg, num_items) if tied
               else random_params(cfg, num_items=num_items, seed=seed))
     mapping = ItemPathMapping.random_init(cfg, num_items, substream(seed, "mapping"))
     ctx = UserContext((seed % num_items,))
-    B = min(B, K**D)
-    with mock.patch.object(retrieval, "DICT_WALK_MAX", walk_max):
-        got = retrieve_candidates(ctx, params, mapping, beam_size=B)
+    B = min(B, max_B, K**D)
+    got = retrieve_candidates(ctx, params, mapping, beam_size=B)
     want = dict_walk_candidates(ctx, params, mapping, B)
     assert got.tolist() == want
     assert len(got) == len(want)
     assert [(int(item), float(lp)) for item, lp in got] == want
+
+
+def test_beam_path_past_the_code_base_holds_no_item():
+    # Nodes 0 and 1 only make the code base 2, under which a K = 3 beam's
+    # path (0, 2) has the code of (1, 0).
+    mapping = ItemPathMapping.from_assignments([((0, 1),), ((1, 0),)])
+    assert mapping.base == 2
+    got = retrieval._expand(np.array([[0, 2], [1, 0]]), np.array([-1.0, -2.0]), mapping)
+    assert got.tolist() == [(1, -2.0)]
+    cfg = make_cfg(K=3, D=2, J=1)
+    params = random_params(cfg, num_items=2, seed=16)
+    ctx = UserContext((0,))
+    assert retrieve_candidates(ctx, params, mapping, beam_size=9).tolist() == \
+        dict_walk_candidates(ctx, params, mapping, 9)
+
+
+def test_serving_a_loaded_checkpoint_never_builds_the_dict_index(tmp_path):
+    # The tuple dicts are views for tests and the benchmark's checks; a
+    # query that built them would pay for the whole catalog.
+    cfg = make_cfg(K=4, D=2, J=2, beam_size=4)
+    save_checkpoint(tmp_path / "model", synthetic_model(cfg, 60, 1))
+    model = load_checkpoint(tmp_path / "model")
+    for behavior in ([0, 1, 2], [59]):
+        assert model.retrieve(behavior, 5)
+        assert model.retrieve(behavior, 5, adaptive=True)
+    assert "inverted" not in model.mapping.__dict__
+    assert "path_sizes" not in model.mapping.__dict__
 
 
 def test_adaptive_beam_small_corpus_returns_everything():
@@ -251,8 +294,8 @@ def test_adaptive_beam_growth_matches_uniform_path_sizes():
     paths = list(itertools.product(range(4), repeat=3))
     mapping = ItemPathMapping.from_assignments([(p,) for p in paths])
     for target, width in ((1, 8), (2, 16), (5, 32), (7, 64), (13, 64)):
-        with mock.patch.object(retrieval, "beam_search",
-                               wraps=retrieval.beam_search) as traced:
+        with mock.patch.object(retrieval, "batched_beam_search",
+                               wraps=retrieval.batched_beam_search) as traced:
             candidates, B = adaptive_beam(UserContext((1,)), params, mapping,
                                           target_count=target)
         assert [call.args[2] for call in traced.call_args_list] == [width]
@@ -293,8 +336,8 @@ def test_adaptive_beam_scores_each_prefix_once():
     mapping = ItemPathMapping.from_assignments(
         [(paths[-1],)] * 40 + [(p,) for p in paths[:-1]])
     params = random_params(cfg, num_items=mapping.num_items, seed=15)
-    with mock.patch.object(retrieval, "beam_search",
-                           wraps=retrieval.beam_search) as beams, \
+    with mock.patch.object(retrieval, "batched_beam_search",
+                           wraps=retrieval.batched_beam_search) as beams, \
          mock.patch.object(retrieval, "batched_layer_log_probs",
                            wraps=retrieval.batched_layer_log_probs) as layers:
         adaptive_beam(UserContext((2,)), params, mapping, target_count=7)
