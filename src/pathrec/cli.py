@@ -41,6 +41,11 @@ STRUCTURE_DEFAULTS = {
 }
 
 
+#: Every command's `--seed`: the root of all random substreams.
+SEED_OPTION = click.option("--seed", default=0, show_default=True,
+                           type=click.IntRange(min=0))
+
+
 def emit(record: dict) -> None:
     click.echo(json.dumps(record, sort_keys=True))
 
@@ -106,12 +111,15 @@ def preprocess(input_path, output_path, min_rating, min_reviews):
 @cli.command()
 @click.option("--output", "output_path", required=True, type=click.Path())
 @click.option("--labels", "labels_path", type=click.Path())
-@click.option("--clusters", default=8, show_default=True)
-@click.option("--items-per-cluster", default=250, show_default=True)
-@click.option("--users", default=5000, show_default=True)
-@click.option("--interactions-per-user", default=20, show_default=True)
-@click.option("--mixture", default=0.2, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--clusters", default=8, show_default=True, type=click.IntRange(min=1))
+@click.option("--items-per-cluster", default=250, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--users", default=5000, show_default=True, type=click.IntRange(min=1))
+@click.option("--interactions-per-user", default=20, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--mixture", default=0.2, show_default=True,
+              type=click.FloatRange(0.0, 1.0))
+@SEED_OPTION
 def synth(output_path, labels_path, clusters, items_per_cluster, users,
           interactions_per_user, mixture, seed):
     """Generate a clustered synthetic interaction corpus."""
@@ -159,7 +167,7 @@ def _train_options(fn):
 @cli.command()
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--output", "ckpt_path", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
+@SEED_OPTION
 @click.option("--val-users", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--test-users", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--stats-out", type=click.Path())
@@ -213,7 +221,7 @@ def _load(ckpt_path):
 @cli.command()
 @click.option("--checkpoint", "ckpt_path", required=True, type=click.Path(exists=True))
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", default=0, show_default=True)
+@SEED_OPTION
 @click.option("--val-users", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--test-users", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--subset", default="test", show_default=True,
@@ -290,7 +298,7 @@ def retrieve(ckpt_path, user_seq, k, beam_size, method):
 @click.option("--queries", default=1000, show_default=True)
 @click.option("--k", default=10, show_default=True)
 @click.option("--beam", "beam_size", type=int)
-@click.option("--seed", default=0, show_default=True)
+@SEED_OPTION
 def bench(ckpt_path, synthetic_items, profile, queries, k, beam_size, seed):
     """Compare structure-retrieval and brute-force latency."""
     if (ckpt_path is None) == (synthetic_items is None):

@@ -39,7 +39,9 @@ class ItemPathMapping:
         """The mapping with its index built, of one of two inputs:
         `assignments`, per item a tuple of J tuples of D ints, stored as
         given; or `paths`, a (V, J, D) int array, whose items on one path
-        then share one tuple of it. Nodes are in [0, K) for a K**D below
+        then share one tuple of it. Given both, `assignments` is stored as
+        given and the index is built from `paths`, which holds each item's
+        same J paths in any order. Nodes are in [0, K) for a K**D below
         2**63.
         """
         # Each temporary is freed once used: this build sets the memory

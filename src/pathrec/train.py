@@ -30,7 +30,7 @@ def train_model(records, split: EvalSplit, cfg: StructureConfig,
     params = StructureParams.init_random(cfg, num_items, rng_init)
     model = SoftmaxModel.init_random(num_items, cfg.emb_dim, rng_init)
     mapping = ItemPathMapping.random_init(cfg, num_items, substream(seed, "mapping"))
-    table = ScoreTable(cfg.score_capacity)
+    table = ScoreTable(num_items, cfg.score_capacity, cfg.num_nodes, cfg.depth)
     opt_state = OptimizerState(em_cfg.learning_rate)
 
     rng_negatives = substream(seed, "negatives")

@@ -18,7 +18,7 @@ class TrainedModel:
     model: SoftmaxModel
     mapping: ItemPathMapping
     item_ids: list                 # index -> original item id
-    table: ScoreTable | None = None   # training's path scores; not saved
+    table: ScoreTable | None = None   # training's path-score arrays; not saved
     stats: list = field(default_factory=list)
 
     @property

@@ -13,9 +13,9 @@ import numpy as np
 
 from pathrec.core import (PROB_FLOOR, AffineLayer, ShapeError, affine_forward,
                           log_softmax, relu, relu_grad)
-from pathrec.em import streaming_score_update
+from pathrec.em import ScoreTable
 from pathrec.reranker import sample_negatives
-from pathrec.retrieval import ADAPTIVE_MULTIPLIER, retrieve_candidates
+from pathrec.retrieval import ADAPTIVE_MULTIPLIER, ItemPathMapping, retrieve_candidates
 from pathrec.structure import (PAD_ITEM, StructureParams, _layer_forward,
                                batched_layer_log_probs, quartic_size_penalty,
                                user_embedding)
@@ -73,7 +73,7 @@ def assignment_objective(table, assignments, alpha: float) -> float:
     for v, paths in enumerate(assignments):
         entries = table.scores.get(v, {})
         s_sum = sum(entries.get(tuple(p), 0.0) for p in paths)
-        total += table.count(v) * math.log(max(s_sum, PROB_FLOOR))
+        total += float(table.counts[v]) * math.log(max(s_sum, PROB_FLOOR))
         for p in paths:
             p = tuple(p)
             sizes[p] = sizes.get(p, 0) + 1
@@ -274,7 +274,65 @@ def beam_search(ctx, params, beam_size: int) -> list:
     return [(tuple(p), lp) for p, lp in zip(prefixes.tolist(), logps.tolist())]
 
 
-def accumulate_scores(batch, params, table) -> None:
+def score_table(rows: dict, counts: dict, num_items: int, num_nodes: int,
+                depth: int, capacity: int | None = None) -> ScoreTable:
+    """An array score table holding `rows`, item -> {path: score}, each
+    row's count from `counts` (1.0 when absent). Each row enters as one
+    update of an empty row, which stores the scores as given."""
+    capacity = capacity or max(map(len, rows.values()), default=1)
+    table = ScoreTable(num_items, capacity, num_nodes, depth)
+    for item, entries in rows.items():
+        if entries:
+            table.update([item], [list(entries)], [list(entries.values())], eta=1.0)
+        table.counts[item] = counts.get(item, 1.0)
+    return table
+
+
+def update_one(table: ScoreTable, item: int, pairs, eta: float) -> None:
+    """One observation of `item` in an array table: (path, score) pairs."""
+    table.update([item], [[p for p, _ in pairs]], [[s for _, s in pairs]], eta)
+
+
+class DictScoreTable:
+    """The score table as a dict of dicts, merged one update at a time."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.scores: dict = {}    # item -> {path: score}
+        self.counts: dict = {}    # item -> decayed N_v
+
+
+def streaming_score_update(table: DictScoreTable, item: int, new_scores,
+                           eta: float) -> None:
+    """Decay-and-merge update of one item's recorded score list.
+
+    Paths in both lists get eta*old + new; paths only in the new list start
+    from eta*min_score (exploration bonus); paths only in the recorded list
+    are decayed. min_score is the smallest recorded score, or 0 while the
+    recorded list is under capacity. Top S entries are kept, ties toward
+    the smaller path; the count becomes eta*N_v + 1.
+    """
+    merged_new: dict = {}
+    for path, s in new_scores:
+        if s < 0:
+            raise ValueError(f"negative score {s} for path {path}")
+        merged_new[tuple(path)] = merged_new.get(tuple(path), 0.0) + s
+    recorded = table.scores.get(item, {})
+    min_score = min(recorded.values()) if len(recorded) >= table.capacity else 0.0
+    updated: dict = {}
+    for path in recorded.keys() | merged_new.keys():
+        if path in recorded and path in merged_new:
+            updated[path] = eta * recorded[path] + merged_new[path]
+        elif path in merged_new:
+            updated[path] = eta * min_score + merged_new[path]
+        else:
+            updated[path] = eta * recorded[path]
+    kept = sorted(updated.items(), key=lambda kv: (-kv[1], kv[0]))[: table.capacity]
+    table.scores[item] = dict(kept)
+    table.counts[item] = eta * table.counts.get(item, 0.0) + 1.0
+
+
+def accumulate_scores(batch, params, table: DictScoreTable) -> None:
     """Score accumulation one sample at a time, each with its own beam."""
     cfg = params.cfg
     width = min(table.capacity, cfg.num_paths)
@@ -282,7 +340,86 @@ def accumulate_scores(batch, params, table) -> None:
     for ctx, item in batch:
         new_scores = [(p, math.exp(lp)) for p, lp in beam_search(ctx, params, width)]
         streaming_score_update(table, item, new_scores, eta)
-        table.counts[item] = eta * table.counts.get(item, 0.0) + 1.0
+
+
+def _random_path(num_nodes: int, depth: int, rng) -> tuple:
+    return tuple(int(c) for c in rng.integers(0, num_nodes, size=depth))
+
+
+def coordinate_descent_assign(table, num_items: int, num_nodes: int, depth: int,
+                              alpha: float, paths_per_item: int, iterations: int,
+                              rng, prev_mapping=None) -> ItemPathMapping:
+    """The M-step one item, candidate and pick at a time over path tuples,
+    reading `table` through its `scores` view and `counts`: every candidate
+    of every pick is scored, with no early exit."""
+    J, T, f = paths_per_item, iterations, quartic_size_penalty
+    candidates: list = []
+    fixed: list = [None] * num_items      # cold items keep these paths
+    for v in range(num_items):
+        entries = sorted(table.scores.get(v, {}).items(), key=lambda kv: (-kv[1], kv[0]))
+        if not entries:
+            if prev_mapping is not None:
+                fixed[v] = tuple(prev_mapping.assignments[v])
+            else:
+                chosen: set = set()
+                while len(chosen) < J:
+                    chosen.add(_random_path(num_nodes, depth, rng))
+                fixed[v] = tuple(sorted(chosen))
+            candidates.append(None)
+            continue
+        while len(entries) < J:
+            extra = _random_path(num_nodes, depth, rng)
+            if all(extra != c for c, _ in entries):
+                entries.append((extra, 0.0))
+        candidates.append(entries)
+
+    sizes: dict = {}
+    assign: list = [None] * num_items
+    for v in range(num_items):
+        if candidates[v] is None:
+            assign[v] = fixed[v]
+            for c in fixed[v]:
+                sizes[c] = sizes.get(c, 0) + 1
+    for t in range(1, T + 1):
+        for v in range(num_items):
+            if candidates[v] is None:
+                continue
+            nv = float(table.counts[v])
+            score_of = dict(candidates[v])
+            if t > 1:
+                for c in assign[v]:
+                    sizes[c] -= 1
+
+            def set_value(paths):
+                s_sum = sum(score_of[c] for c in paths)
+                pen = sum(f(sizes.get(c, 0) + 1) - f(sizes.get(c, 0))
+                          for c in paths)
+                return nv * math.log(max(s_sum, PROB_FLOOR)) - alpha * pen
+
+            chosen: list = []
+            partial = 0.0
+            for j in range(J):
+                best_path, best_score, best_gain = None, 0.0, -math.inf
+                for c, s in candidates[v]:
+                    if c in chosen:
+                        continue
+                    if partial == 0.0:
+                        gain_log = nv * math.log(max(s, PROB_FLOOR))
+                    else:
+                        gain_log = nv * (math.log(s + partial) - math.log(partial))
+                    sz = sizes.get(c, 0)
+                    gain = gain_log - alpha * (f(sz + 1) - f(sz))
+                    if gain > best_gain or (gain == best_gain and
+                                            best_path is not None and c < best_path):
+                        best_path, best_score, best_gain = c, s, gain
+                chosen.append(best_path)
+                partial += best_score
+            if t > 1 and set_value(assign[v]) > set_value(chosen):
+                chosen = list(assign[v])
+            for c in chosen:
+                sizes[c] = sizes.get(c, 0) + 1
+            assign[v] = tuple(chosen)
+    return ItemPathMapping.from_assignments(assign)
 
 
 def adam_step(params: dict, grads: dict, state) -> None:

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from pathrec.data import evaluate, make_split, preprocess, synth_clusters
-from pathrec.em import (EmConfig, ScoreTable, coordinate_descent_assign,
-                        streaming_score_update)
+from pathrec.em import EmConfig, ScoreTable, coordinate_descent_assign
 from pathrec.bench import run_bench, synthetic_model
 from pathrec.reranker import SoftmaxModel, joint_loss, sampled_softmax_loss
 from pathrec.retrieval import ItemPathMapping, beam_search
@@ -25,8 +24,8 @@ from pathrec.seeding import substream
 from pathrec.structure import (StructureConfig, StructureParams, UserBatch,
                                UserContext, layer_distribution, multi_path_loss)
 from pathrec.train import train_model
-from reference import (assignment_objective, structure_log_likelihood,
-                       surrogate_upper_bound)
+from reference import (assignment_objective, score_table,
+                       structure_log_likelihood, surrogate_upper_bound, update_one)
 
 
 def report(name, ok, detail=""):
@@ -176,13 +175,12 @@ def _random_score_table(seed):
     J = int(rng.integers(1, min(3, S) + 1))
     alpha = [0.0, 1e-3, 1.0][seed % 3]
     paths = [(a, b) for a in range(3) for b in range(3)]
-    table = ScoreTable(S)
+    rows, counts = {}, {}
     for v in range(V):
         chosen = rng.choice(len(paths), size=S, replace=False)
-        table.scores[v] = {paths[i]: float(rng.random() * 5 + 1e-6)
-                           for i in chosen}
-        table.counts[v] = float(rng.integers(1, 20))
-    return table, V, J, alpha, paths
+        rows[v] = {paths[i]: float(rng.random() * 5 + 1e-6) for i in chosen}
+        counts[v] = float(rng.integers(1, 20))
+    return score_table(rows, counts, V, 3, 2), V, J, alpha, paths
 
 
 def _best_random_objective(table, V, J, alpha, paths, rng, restarts=1000):
@@ -190,7 +188,7 @@ def _best_random_objective(table, V, J, alpha, paths, rng, restarts=1000):
     smat = np.zeros((V, P))
     counts = np.zeros(V)
     for v in range(V):
-        counts[v] = table.count(v)
+        counts[v] = table.counts[v]
         for i, p in enumerate(paths):
             smat[v, i] = table.scores[v].get(p, 0.0)
     choices = rng.random((restarts, V, P)).argsort(axis=2)[:, :, :J]
@@ -230,24 +228,24 @@ def test_streaming_tracker_oracle():
     worst = 0.0
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        table = ScoreTable(64)
+        table = ScoreTable(1, 64, 4, 2)
         exact = {}
         for _ in range(20):
             new = [((int(a), int(b)), float(rng.random()))
                    for a, b in rng.integers(0, 4, size=(int(rng.integers(1, 6)), 2))]
-            streaming_score_update(table, 0, new, eta=1.0)
+            update_one(table, 0, new, eta=1.0)
             for p, s in new:
                 exact[p] = exact.get(p, 0.0) + s
         for p, s in exact.items():
             worst = max(worst, abs(table.scores[0][p] - s))
     # Hand-traced 3-step fixture at capacity 2, eta=0.5.
     A, B, C = (0, 0), (0, 1), (1, 0)
-    table = ScoreTable(2)
-    streaming_score_update(table, 0, [(A, 5.0), (B, 3.0)], eta=0.5)
+    table = ScoreTable(1, 2, 2, 2)
+    update_one(table, 0, [(A, 5.0), (B, 3.0)], eta=0.5)
     assert table.scores[0] == {A: 5.0, B: 3.0}          # under capacity: min=0
-    streaming_score_update(table, 0, [(A, 2.0), (C, 4.0)], eta=0.5)
+    update_one(table, 0, [(A, 2.0), (C, 4.0)], eta=0.5)
     assert table.scores[0] == {C: 5.5, A: 4.5}          # min=3; B drops to 1.5
-    streaming_score_update(table, 0, [(B, 1.0)], eta=0.5)
+    update_one(table, 0, [(B, 1.0)], eta=0.5)
     fixture_ok = table.scores[0] == {B: 3.25, C: 2.75}  # min=4.5; A drops
     report("streaming score tracker", worst <= 1e-12 and fixture_ok,
            f"eta=1 replay max err {worst:.1e} (<= 1e-12); "

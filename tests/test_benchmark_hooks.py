@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from pathrec import em, persist
-from pathrec.em import ScoreTable
 from pathrec.retrieval import ItemPathMapping
 from pathrec.seeding import substream
 from pathrec.structure import StructureConfig
+from reference import score_table
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -44,9 +44,7 @@ def _read(tmp_path):
 
 
 def _assign(tmp_path):
-    table = ScoreTable(4)
-    table.scores[0] = {(0, 1): 0.5, (1, 1): 0.25}
-    table.counts[0] = 2.0
+    table = score_table({0: {(0, 1): 0.5, (1, 1): 0.25}}, {0: 2.0}, 3, 3, 2, capacity=4)
     return em.coordinate_descent_assign(table, 3, 3, 2, 0.1, 2, 2, substream(0, "cd"))
 
 

@@ -226,6 +226,34 @@ def test_bad_flag_value_is_usage_error(corpus, checkpoint, tmp_path, command, ar
     assert not (tmp_path / "ck").exists()
 
 
+@pytest.mark.parametrize("command, args, message", [
+    ("synth", ["--clusters", "0"], "'--clusters': 0 is not in the range x>=1"),
+    ("synth", ["--items-per-cluster", "0"], "'--items-per-cluster': 0 is not in the range x>=1"),
+    ("synth", ["--users", "-1"], "'--users': -1 is not in the range x>=1"),
+    ("synth", ["--interactions-per-user", "0"],
+     "'--interactions-per-user': 0 is not in the range x>=1"),
+    ("synth", ["--mixture", "1.5"], "'--mixture': 1.5 is not in the range 0.0<=x<=1.0"),
+    ("synth", ["--seed", "-1"], "'--seed': -1 is not in the range x>=0"),
+    ("train", ["--seed", "-1"], "'--seed': -1 is not in the range x>=0"),
+    ("evaluate", ["--seed", "-1"], "'--seed': -1 is not in the range x>=0"),
+    ("bench", ["--synthetic-items", "2000", "--seed", "-1"],
+     "'--seed': -1 is not in the range x>=0"),
+])
+def test_out_of_range_count_or_seed_is_one_line_usage_error(corpus, checkpoint, tmp_path,
+                                                            command, args, message):
+    source = {"synth": ["--output", str(tmp_path / "out.csv")],
+              "evaluate": ["--checkpoint", str(checkpoint), "--input", str(corpus)],
+              "train": ["--input", str(corpus), "--output", str(tmp_path / "ck")],
+              "bench": []}[command]
+    result = CliRunner().invoke(cli, [command] + source + args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == \
+        [f"Error: Invalid value for {message}."]
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "ck").exists()
+
+
 def test_retrieve_brute_force_k_exceeding_corpus_is_usage_error(corpus60, tmp_path):
     ckpt = tmp_path / "ck60"
     result = CliRunner().invoke(cli, ["train", "--input", str(corpus60),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import reference
 
 from pathrec import persist
-from pathrec.em import ScoreTable
 from pathrec.persist import (TENSOR_MAGIC, CorruptionError, MigrationError,
                              load_checkpoint, read_mapping, read_tensor,
                              save_checkpoint, write_mapping, write_tensor)
@@ -31,11 +30,9 @@ def make_trained(seed=0, num_items=12, depth=2):
                                      substream(seed, "softmax"))
     mapping = ItemPathMapping.random_init(cfg, num_items,
                                           substream(seed, "mapping"))
-    table = ScoreTable(cfg.score_capacity)
-    table.scores[0] = {(0, 1): 0.25, (2, 2): 1.5}
-    table.counts[0] = 3.0
-    table.scores[5] = {(1, 0): 1e-9}
-    table.counts[5] = 0.125
+    table = reference.score_table({0: {(0, 1): 0.25, (2, 2): 1.5}, 5: {(1, 0): 1e-9}},
+                                  {0: 3.0, 5: 0.125}, num_items, 3, 2,
+                                  capacity=cfg.score_capacity)
     return TrainedModel(cfg=cfg, params=params, model=model, mapping=mapping,
                         table=table, item_ids=list(range(100, 100 + num_items)))
 

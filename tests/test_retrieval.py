@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import reference
 from pathrec import retrieval
 from pathrec.bench import synthetic_model
-from pathrec.em import ScoreTable, coordinate_descent_assign
+from pathrec.em import coordinate_descent_assign
 from pathrec.persist import load_checkpoint, read_mapping, save_checkpoint, write_mapping
 from pathrec.reranker import SoftmaxModel, rerank
 from pathrec.retrieval import (ItemPathMapping, adaptive_beam, batched_beam_search,
@@ -316,11 +316,12 @@ def test_size_sums_are_sorted_size_cumsums(tmp_path):
     drawn = ItemPathMapping.random_init(cfg, 30, substream(6, "mapping"))
     write_mapping(tmp_path / "mapping.tsv", drawn)
     rng = np.random.default_rng(7)
-    table = ScoreTable(4)
+    rows, counts = {}, {}
     for v in range(12):
-        table.scores[v] = {(int(a), int(b)): float(rng.random())
-                           for a, b in rng.integers(0, 3, size=(4, 2))}
-        table.counts[v] = float(rng.integers(1, 10))
+        rows[v] = {(int(a), int(b)): float(rng.random())
+                   for a, b in rng.integers(0, 3, size=(4, 2))}
+        counts[v] = float(rng.integers(1, 10))
+    table = reference.score_table(rows, counts, 12, 3, 2, capacity=4)
     assigned = coordinate_descent_assign(table, 12, 3, 2, 0.1, 2, 3,
                                          substream(3, "cd"))
     for mapping in (drawn, read_mapping(tmp_path / "mapping.tsv", cfg), assigned):
