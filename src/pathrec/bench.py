@@ -16,6 +16,8 @@ from .structure import StructureConfig, StructureParams
 from .trained import TrainedModel
 
 MIN_QUERIES = 1000
+#: Every query list is built before timing, so the count is bounded.
+MAX_QUERIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,8 @@ def run_bench(trained: TrainedModel, num_queries: int, k: int,
 
     Queries are random 10-item behavior sequences over the corpus; both
     methods are warmed up before measurement."""
-    if num_queries < MIN_QUERIES:
-        raise ValueError(f"num_queries must be >= {MIN_QUERIES}")
+    if not MIN_QUERIES <= num_queries <= MAX_QUERIES:
+        raise ValueError(f"num_queries must be in [{MIN_QUERIES}, {MAX_QUERIES}]")
     V = trained.num_items
     if k > V:
         raise ValueError(f"k={k} exceeds corpus size {V}")

@@ -6,6 +6,7 @@ takes `--seed`; runs are deterministic given seed and configuration.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -189,7 +190,8 @@ def train(input_path, ckpt_path, seed, val_users, test_users, stats_out,
             f"--negatives {em_cfg.num_negatives} must be in [1, {num_items - 1}] "
             f"for a corpus of {num_items} items")
     split = _split(records, val_users, test_users, seed)
-    trained = train_model(records, split, cfg, em_cfg, seed)
+    with _allocating(cfg, f"{num_items} items"):
+        trained = train_model(records, split, cfg, em_cfg, seed)
     persist.save_checkpoint(ckpt_path, trained,
                             extra_config={"training": dataclasses.asdict(em_cfg),
                                           "seed": seed, "val_users": val_users,
@@ -202,6 +204,17 @@ def train(input_path, ckpt_path, seed, val_users, test_users, stats_out,
                       for s in trained.stats) + "\n")
     emit({"event": "train_done", "checkpoint": str(ckpt_path),
           "num_items": trained.num_items})
+
+
+@contextlib.contextmanager
+def _allocating(cfg, corpus: str):
+    """Report a model too large to allocate as a one-line error naming its
+    config, in place of NumPy's traceback."""
+    try:
+        yield
+    except MemoryError:
+        raise click.ClickException(
+            f"cannot allocate a model of {corpus} with {cfg}") from None
 
 
 def _split(records, val_users, test_users, seed):
@@ -295,9 +308,10 @@ def retrieve(ckpt_path, user_seq, k, beam_size, method):
               help="Benchmark a random model of this corpus size instead of "
                    "a checkpoint.")
 @click.option("--profile", type=click.Choice(sorted(PROFILES)))
-@click.option("--queries", default=1000, show_default=True)
-@click.option("--k", default=10, show_default=True)
-@click.option("--beam", "beam_size", type=int)
+@click.option("--queries", default=1000, show_default=True,
+              type=click.IntRange(bench_mod.MIN_QUERIES, bench_mod.MAX_QUERIES))
+@click.option("--k", default=10, show_default=True, type=click.IntRange(min=1))
+@click.option("--beam", "beam_size", type=click.IntRange(min=1))
 @SEED_OPTION
 def bench(ckpt_path, synthetic_items, profile, queries, k, beam_size, seed):
     """Compare structure-retrieval and brute-force latency."""
@@ -306,7 +320,8 @@ def bench(ckpt_path, synthetic_items, profile, queries, k, beam_size, seed):
                                "--synthetic-items")
     if synthetic_items is not None:
         cfg, _ = build_configs(profile or "amazon", None, {})
-        trained = bench_mod.synthetic_model(cfg, synthetic_items, seed)
+        with _allocating(cfg, f"{synthetic_items} synthetic items"):
+            trained = bench_mod.synthetic_model(cfg, synthetic_items, seed)
     else:
         trained = _load(ckpt_path)
     if k > trained.num_items:

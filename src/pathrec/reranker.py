@@ -98,20 +98,32 @@ def sampled_softmax_loss(users: UserBatch, positives, num_negatives: int,
 
 def _top_k(scores: np.ndarray, k: int, ids: np.ndarray | None = None) -> list:
     """The k best (item id, score) pairs, best first, ties toward the
-    smaller id; `ids[i]` is the item id at position i (i itself when None)."""
-    n = scores.size
-    if k < n:
-        # Exact top-k without a full sort: keep everything at least as good
-        # as the k-th score, then order that small subset.
-        neg = -scores
-        kth = np.partition(neg, k - 1)[k - 1]
-        pool = np.flatnonzero(neg <= kth)
-        scores = scores[pool]
-        ids = pool if ids is None else ids[pool]
-    elif ids is None:
-        ids = np.arange(n)
-    order = np.lexsort((ids, -scores))[:k]
-    return list(zip(ids[order].tolist(), scores[order].tolist()))
+    smaller id; `ids[i]` is the item id at position i (i itself when None).
+    An id listed more than once counts once, at its best score."""
+    n, m = scores.size, k
+    neg = -scores
+    while True:
+        if m < n:
+            # Exact top-k without a full sort: keep everything at least as
+            # good as the m-th score, then order that small subset. An id
+            # left out scores below every id kept.
+            kth = np.partition(neg, m - 1)[m - 1]
+            pool = np.flatnonzero(neg <= kth)
+            top, at = scores[pool], (pool if ids is None else ids[pool])
+        else:
+            top, at = scores, (np.arange(n) if ids is None else ids)
+        order = np.lexsort((at, -top))
+        if ids is None:
+            break
+        # Each id's first entry in this order is its best.
+        _, first = np.unique(at[order], return_index=True)
+        order = order[np.sort(first)]
+        if order.size >= k or m >= n:
+            break
+        # Repeats filled the pool: fewer than k distinct ids in it.
+        m = min(2 * m, n)
+    order = order[:k]
+    return list(zip(at[order].tolist(), top[order].tolist()))
 
 
 def brute_force_retrieve(ctx: UserContext, model: SoftmaxModel,
@@ -129,10 +141,12 @@ def rerank(items, ctx: UserContext, model: SoftmaxModel,
            params: StructureParams, k: int, u: np.ndarray | None = None) -> list:
     """Top-k (item, score) of the candidate item ids by softmax score.
 
-    `items` is a 1-D array of item ids, such as `retrieve_candidates(...)
-    ["item"]`. Ties go toward the smaller item id; returns every candidate
-    when k exceeds the candidate count. `u` is the user's embedding when
-    the caller has it.
+    `items` is a 1-D array of item ids in any order, repeats allowed: an
+    item listed more than once, such as the beam's inverted-index entries
+    of an item on two beam paths, counts once at its best score. Ties go
+    toward the smaller item id; returns every distinct candidate when k
+    exceeds their count. `u` is the user's embedding when the caller has
+    it.
     """
     items = np.asarray(items, dtype=np.int64)
     if items.ndim != 1 or items.size == 0:

@@ -278,12 +278,12 @@ def retrieve_candidates(ctx: UserContext, params: StructureParams,
     return _expand(paths[0], logps[0], mapping)
 
 
-def _expand(paths: np.ndarray, logps: np.ndarray, mapping: ItemPathMapping) -> np.ndarray:
-    """`retrieve_candidates`' array for a beam of (B, D) paths and their
-    (B,) log-probs, best first."""
-    n = logps.size
+def _entries(paths: np.ndarray, mapping: ItemPathMapping) -> tuple:
+    """The items on a beam of (B, D) paths, path by path: each path's CSR
+    slice in beam order, so an item is listed once per beam path that holds
+    it. Returns (items, counts), counts the (B,) items per path."""
     if not mapping.codes.size:
-        return np.empty(0, dtype=CANDIDATE_DTYPE)
+        return mapping.items[:0], np.zeros(len(paths), dtype=np.int64)
     codes = path_codes(paths, mapping.base)
     if paths.max() >= mapping.base:
         # Such a path holds no item of the mapping; code -1 is no path's.
@@ -294,10 +294,18 @@ def _expand(paths: np.ndarray, logps: np.ndarray, mapping: ItemPathMapping) -> n
     counts = np.where(mapping.codes[at] == codes, mapping.indptr[at + 1] - lo, 0)
     ends = np.cumsum(counts)
     at = np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])
+    return mapping.items[at], counts
+
+
+def _expand(paths: np.ndarray, logps: np.ndarray, mapping: ItemPathMapping) -> np.ndarray:
+    """`retrieve_candidates`' array for a beam of (B, D) paths and their
+    (B,) log-probs, best first."""
+    n = logps.size
+    items, counts = _entries(paths, mapping)
     # The beam comes best first, so an item's best log-prob is that of its
     # best-ranked path. Sort (item, beam rank) keys and keep the first key
     # of each item.
-    keys = mapping.items[at] * n + np.repeat(np.arange(n), counts)
+    keys = items * n + np.repeat(np.arange(n), counts)
     keys.sort()
     items = keys // n
     first = np.ones(keys.size, dtype=bool)
@@ -367,10 +375,24 @@ def adaptive_beam(ctx: UserContext, params: StructureParams,
     times `target_count` or the beam covers every path. Returns
     (candidates, B), where `candidates` is the `retrieve_candidates` array
     at that B. `u` is the user's embedding when the caller has it.
+    """
+    if u is None:
+        u = user_embedding(ctx, params)
+    paths, logps, _, B = _adaptive_entries(u, params, mapping, target_count)
+    return _expand(paths, logps, mapping), B
+
+
+def _adaptive_entries(u: np.ndarray, params: StructureParams,
+                      mapping: ItemPathMapping, target_count: int) -> tuple:
+    """`adaptive_beam`'s final beam for the user embedding `u`: its (B, D)
+    paths, (B,) log-probs, `_entries` items and its width B.
 
     A B-path beam retrieves at most the items on the B largest paths, so
     widths whose bound falls short are skipped unscored. The widths that
-    run share one memo of layer rows, so each prefix is scored once.
+    run share one memo of layer rows, so each prefix is scored once. A
+    width's entry count bounds its distinct items from above and its
+    largest path's count from below; only when neither decides are the
+    entries sorted to count them.
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
@@ -380,12 +402,11 @@ def adaptive_beam(ctx: UserContext, params: StructureParams,
     B = 1
     while B < cfg.num_paths and sums[min(B, sums.size - 1)] < want:
         B = min(2 * B, cfg.num_paths)
-    if u is None:
-        u = user_embedding(ctx, params)
     memo = _LayerMemo(u, params)
     while True:
         paths, logps = batched_beam_search(u[None], params, B, memo)
-        candidates = _expand(paths[0], logps[0], mapping)
-        if len(candidates) >= want or B >= cfg.num_paths:
-            return candidates, B
+        items, counts = _entries(paths[0], mapping)
+        if B >= cfg.num_paths or (items.size >= want and (
+                counts.max() >= want or np.unique(items).size >= want)):
+            return paths[0], logps[0], items, B
         B = min(2 * B, cfg.num_paths)

@@ -7,7 +7,10 @@ from dataclasses import dataclass, field
 from . import retrieval
 from .em import ScoreTable
 from .reranker import SoftmaxModel, brute_force_retrieve, rerank
-from .retrieval import ItemPathMapping, adaptive_beam, retrieve_candidates
+from .retrieval import ItemPathMapping
+# Serving does not call these two; they stay importable here because
+# perfbench/tracing.py wraps them in this module by name.
+from .retrieval import adaptive_beam, retrieve_candidates  # noqa: F401
 from .structure import StructureConfig, StructureParams, UserContext
 
 
@@ -35,19 +38,21 @@ class TrainedModel:
 
         Returns (internal item index, score) pairs. With `adaptive`, the
         beam grows until the candidate pool is 5x the requested k. The user
-        is encoded once, for every beam width and the rerank."""
+        is encoded once, for every beam width and the rerank, which scores
+        the beam's inverted-index entries as they are: an item on two beam
+        paths counts once in the top k."""
         ctx = self.context(behavior_items)
         # Looked up through `retrieval`, where perfbench/tracing.py counts
         # the encodings of a structure query.
         u = retrieval.user_embedding(ctx, self.params)
         if adaptive:
-            candidates, _ = adaptive_beam(ctx, self.params, self.mapping, k, u=u)
+            items = retrieval._adaptive_entries(u, self.params, self.mapping, k)[2]
         else:
-            candidates = retrieve_candidates(ctx, self.params, self.mapping,
-                                             beam_size=beam_size, u=u)
-        if len(candidates) == 0:
+            paths, _ = retrieval.batched_beam_search(u[None], self.params, beam_size)
+            items, _ = retrieval._entries(paths[0], self.mapping)
+        if items.size == 0:
             return []
-        return rerank(candidates["item"], ctx, self.model, self.params, k, u=u)
+        return rerank(items, ctx, self.model, self.params, k, u=u)
 
     def retrieve_brute_force(self, behavior_items, k: int) -> list:
         ctx = self.context(behavior_items)

@@ -166,6 +166,19 @@ def adaptive_beam(ctx, params, mapping, target_count: int) -> tuple:
         B = min(2 * B, num_paths)
 
 
+def top_k(scores, k: int, ids=None) -> list:
+    """The k best (id, score) pairs: each id at the best score of its
+    entries, then a full sort by score descending, ties toward the smaller
+    id. `ids[i]` is the id of `scores[i]` (i itself when None)."""
+    ids = range(len(scores)) if ids is None else list(ids)
+    best: dict = {}
+    for i, s in zip(ids, list(scores)):
+        i, s = int(i), float(s)
+        if i not in best or s > best[i]:
+            best[i] = s
+    return sorted(best.items(), key=lambda p: (-p[1], p[0]))[:k]
+
+
 def _behavior_items(ctx) -> list:
     return [i for i in ctx.behavior if i != PAD_ITEM]
 

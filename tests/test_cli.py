@@ -238,6 +238,13 @@ def test_bad_flag_value_is_usage_error(corpus, checkpoint, tmp_path, command, ar
     ("evaluate", ["--seed", "-1"], "'--seed': -1 is not in the range x>=0"),
     ("bench", ["--synthetic-items", "2000", "--seed", "-1"],
      "'--seed': -1 is not in the range x>=0"),
+    ("bench", ["--synthetic-items", "2000", "--queries", "999"],
+     "'--queries': 999 is not in the range 1000<=x<=100000"),
+    ("bench", ["--synthetic-items", "2000", "--queries", "1000000000"],
+     "'--queries': 1000000000 is not in the range 1000<=x<=100000"),
+    ("bench", ["--synthetic-items", "2000", "--k", "0"], "'--k': 0 is not in the range x>=1"),
+    ("bench", ["--synthetic-items", "2000", "--beam", "0"],
+     "'--beam': 0 is not in the range x>=1"),
 ])
 def test_out_of_range_count_or_seed_is_one_line_usage_error(corpus, checkpoint, tmp_path,
                                                             command, args, message):
@@ -252,6 +259,28 @@ def test_out_of_range_count_or_seed_is_one_line_usage_error(corpus, checkpoint, 
         [f"Error: Invalid value for {message}."]
     assert "Traceback" not in result.output
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "ck").exists()
+
+
+# Each size is far above any machine's memory, so its allocation fails at
+# once; a size near the memory would be filled instead.
+@pytest.mark.parametrize("command, args, names", [
+    ("train", ["--score-capacity", "1000000000"], "score_capacity=1000000000"),
+    ("train", ["--hidden-width", "100000000000"], "hidden_width=100000000000"),
+    ("bench", ["--synthetic-items", "1000000000000"], "1000000000000 synthetic items"),
+])
+def test_model_too_large_to_allocate_is_one_line_error(corpus60, tmp_path, command, args,
+                                                       names):
+    source = {"train": ["--input", str(corpus60), "--output", str(tmp_path / "ck"),
+                        "--epochs", "1", "--negatives", "10"],
+              "bench": []}[command]
+    result = CliRunner().invoke(cli, [command] + source + args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    [error] = result.output.splitlines()
+    assert error.startswith("Error: cannot allocate a model of ")
+    assert names in error and "StructureConfig(" in error
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "ck").exists()
 
 
 def test_retrieve_brute_force_k_exceeding_corpus_is_usage_error(corpus60, tmp_path):

@@ -197,6 +197,44 @@ def test_top_k_is_sorted_prefix(k_cap, values, k, with_ids, seed):
     assert reranker._top_k(scores, k, ids) == want[:k]
 
 
+# Entries as (id, score, nudge): a beam lists an item once per beam path
+# holding it, up to J times, and its copies' scores may differ in the last
+# bit, hence a nudge of one ulp. Small integer scores make ties at the k-th
+# score common, and k reaches past the distinct count.
+REPEATED_ENTRIES = st.integers(1, 4).flatmap(lambda J: st.lists(
+    st.tuples(st.integers(0, 15), st.integers(-3, 3), st.sampled_from([0, -1, 1])),
+    min_size=1, max_size=40).map(
+        lambda rows: [r for n, r in enumerate(rows)
+                      if sum(q[0] == r[0] for q in rows[:n]) < J]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(REPEATED_ENTRIES, st.integers(1, 20), st.booleans(), st.integers(0, 500))
+def test_top_k_counts_a_repeated_id_once_at_its_best(entries, k, one_id, seed):
+    ids = np.array([0 if one_id else i for i, _, _ in entries])
+    scores = np.array([np.nextafter(float(s), math.copysign(math.inf, nudge))
+                       if nudge else float(s) for _, s, nudge in entries])
+    order = substream(seed, "entries").permutation(ids.size)
+    ids, scores = ids[order], scores[order]
+    assert reranker._top_k(scores, k, ids) == reference.top_k(scores, k, ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(REPEATED_ENTRIES, st.integers(1, 20), st.integers(0, 500))
+def test_rerank_counts_a_repeated_item_once(entries, k, seed):
+    # Integer embeddings and a one-item context give exact integer scores,
+    # so ties are common and any summation order gives the same bits.
+    cfg, params, model = setup(num_items=16, seed=seed)
+    rng = substream(seed, "int-emb")
+    params.item_emb = rng.integers(-2, 3, size=params.item_emb.shape).astype(float)
+    model.out_emb = rng.integers(-2, 3, size=model.out_emb.shape).astype(float)
+    ctx = UserContext((seed % 16,))
+    u = params.item_emb[seed % 16]
+    items = np.array([i for i, _, _ in entries])
+    scores = [float(sum(int(a) * int(b) for a, b in zip(model.out_emb[i], u))) for i in items]
+    assert rerank(items, ctx, model, params, k) == reference.top_k(scores, k, items)
+
+
 def test_rerank_takes_item_ids_and_short_lists():
     cfg, params, model = setup(num_items=10, seed=9)
     ctx = UserContext((0,))

@@ -303,6 +303,21 @@ def test_adaptive_beam_growth_matches_uniform_path_sizes():
         assert len(candidates) == width
 
 
+def test_adaptive_beam_counts_an_item_on_two_beam_paths_once():
+    # Zero parameters tie every path, so the width-2 beam holds (0,) and
+    # (1,): eight entries, and a path of four, but only items 0-3, short of
+    # the 5 candidates wanted; the beam must grow to all four paths.
+    cfg = make_cfg(K=4, D=1, J=2, beam_size=1)
+    mapping = ItemPathMapping.from_assignments([((0,), (1,))] * 4 + [((2,), (3,))] * 2)
+    params = init_zero(cfg, 6)
+    ctx = UserContext((0,))
+    candidates, B = adaptive_beam(ctx, params, mapping, target_count=1)
+    want, want_B = reference.adaptive_beam(ctx, params, mapping, 1)
+    assert B == want_B == 4
+    assert candidates.tolist() == want.tolist()
+    assert sorted(candidates["item"].tolist()) == list(range(6))
+
+
 def test_adaptive_beam_rejects_bad_target():
     cfg = make_cfg()
     params = random_params(cfg, seed=13)
@@ -417,3 +432,47 @@ def test_adaptive_beam_matches_reference(K, D, kind, per, target, tied, seed):
     np.testing.assert_allclose(got["logp"], want["logp"], rtol=0, atol=1e-12)
     assert model.retrieve(behavior, target, adaptive=True) == \
         rerank(want["item"], ctx, model.model, params, target)
+
+
+def same_ranking(got, want):
+    """Equal items in equal order, scores to 1e-12: the rerank scores a
+    beam's entries in path order, where BLAS may round a row's score in the
+    last bit differently from the deduplicated candidates' order."""
+    assert [i for i, _ in got] == [i for i, _ in want]
+    np.testing.assert_allclose([s for _, s in got], [s for _, s in want],
+                               rtol=0, atol=1e-12)
+
+
+# J >= 2 paths per item, so an item often holds two beam paths; nodes drawn
+# below K - 1 leave the mapping's code base under K, so beam paths reach
+# nodes at or past it; no items at all make an empty index.
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(2, 3), st.integers(0, 40),
+       st.integers(1, 64), st.integers(1, 12), st.booleans(), st.booleans(),
+       st.sampled_from([4, 8]), st.integers(0, 500))
+def test_retrieve_reranks_the_deduplicated_candidates(K, D, J, num_items, B, k,
+                                                      narrow, tied, E, seed):
+    used = K - 1 if narrow and (K - 1) ** D >= J else K
+    J = min(J, used ** D)
+    cfg = make_cfg(K=K, D=D, J=J, beam_size=1, emb_dim=E)
+    mapping = ItemPathMapping.from_assignments(reference.random_assignments(
+        make_cfg(K=used, D=D, J=J), num_items, substream(seed, "mapping")))
+    V = max(num_items, 3)
+    # Zero parameters make every path tie; random ones rarely do.
+    params = init_zero(cfg, V) if tied else random_params(cfg, num_items=V, seed=seed)
+    model = TrainedModel(cfg, params,
+                         SoftmaxModel.init_random(V, E, substream(seed, "sm")),
+                         mapping, list(range(V)))
+    behavior = substream(seed, "ctx").integers(0, V, size=3).tolist()
+    ctx = model.context(behavior)
+
+    def reranked(candidates):
+        if len(candidates) == 0:
+            return []
+        return rerank(candidates["item"], ctx, model.model, params, k)
+
+    B = min(B, K**D)
+    same_ranking(model.retrieve(behavior, k, beam_size=B),
+                 reranked(retrieve_candidates(ctx, params, mapping, beam_size=B)))
+    same_ranking(model.retrieve(behavior, k, adaptive=True),
+                 reranked(reference.adaptive_beam(ctx, params, mapping, k)[0]))
