@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import shutil
 import struct
 import uuid
@@ -56,9 +57,11 @@ def read_tensor(path) -> np.ndarray:
     if zlib.crc32(body) & 0xFFFFFFFF != struct.unpack("<I", crc_bytes)[0]:
         raise CorruptionError(f"{path}: checksum mismatch")
     ndim = struct.unpack_from("<I", body, 8)[0]
+    if len(body) < 12 + 4 * ndim:
+        raise CorruptionError(f"{path}: {ndim} dims run past the end")
     shape = struct.unpack_from(f"<{ndim}I", body, 12)
     payload = body[12 + 4 * ndim:]
-    expected = 4 * int(np.prod(shape)) if ndim else 4
+    expected = 4 * math.prod(shape)
     if len(payload) != expected:
         raise CorruptionError(f"{path}: payload size {len(payload)} != {expected}")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)

@@ -182,17 +182,11 @@ def _scalars(arr: np.ndarray):
 
 
 def beam_search(ctx: UserContext, params: StructureParams,
-                beam_size: int | None = None, u: np.ndarray | None = None,
-                memo: _LayerMemo | None = None) -> list:
+                beam_size: int | None = None) -> list:
     """Top-B paths by log-probability for one user, as (path, log-prob)
-    pairs sorted descending: the n = 1 case of `batched_beam_search`.
-
-    `u` is the user's embedding when the caller has it; `memo` scores the
-    layers in its place.
-    """
-    if u is None:
-        u = user_embedding(ctx, params)
-    paths, logps = batched_beam_search(u[None], params, beam_size, memo)
+    pairs sorted descending: the n = 1 case of `batched_beam_search`."""
+    u = user_embedding(ctx, params)
+    paths, logps = batched_beam_search(u[None], params, beam_size)
     return [(tuple(path), lp) for path, lp in zip(paths[0].tolist(), logps[0].tolist())]
 
 
@@ -256,26 +250,17 @@ def batched_beam_search(u: np.ndarray, params: StructureParams,
     return prefixes.reshape(n, width, cfg.depth), logps.reshape(n, width)
 
 
-#: One retrieved candidate: an item id and its best beam-path log-prob.
-CANDIDATE_DTYPE = np.dtype([("item", np.int64), ("logp", np.float64)])
-
-
 def retrieve_candidates(ctx: UserContext, params: StructureParams,
                         mapping: ItemPathMapping, beam_size: int | None = None,
                         u: np.ndarray | None = None) -> np.ndarray:
-    """Deduplicated items on the beam-retrieved paths, as a CANDIDATE_DTYPE
-    array with fields `item` and `logp`.
-
-    An item reached via several paths is scored by its maximum path
-    log-probability; sorted descending, ties toward the smaller item id.
-    `len()` is the candidate count, entries unpack as (item, logp), and
-    `.tolist()` gives those pairs. `u` is the user's embedding when the
-    caller has it.
+    """The items on the beam-retrieved paths: each beam path's inverted-index
+    entries, in beam order, so an item on two beam paths is listed twice.
+    `u` is the user's embedding when the caller has it.
     """
     if u is None:
         u = user_embedding(ctx, params)
-    paths, logps = batched_beam_search(u[None], params, beam_size)
-    return _expand(paths[0], logps[0], mapping)
+    paths, _ = batched_beam_search(u[None], params, beam_size)
+    return _entries(paths[0], mapping)[0]
 
 
 def _entries(paths: np.ndarray, mapping: ItemPathMapping) -> tuple:
@@ -295,32 +280,6 @@ def _entries(paths: np.ndarray, mapping: ItemPathMapping) -> tuple:
     ends = np.cumsum(counts)
     at = np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])
     return mapping.items[at], counts
-
-
-def _expand(paths: np.ndarray, logps: np.ndarray, mapping: ItemPathMapping) -> np.ndarray:
-    """`retrieve_candidates`' array for a beam of (B, D) paths and their
-    (B,) log-probs, best first."""
-    n = logps.size
-    items, counts = _entries(paths, mapping)
-    # The beam comes best first, so an item's best log-prob is that of its
-    # best-ranked path. Sort (item, beam rank) keys and keep the first key
-    # of each item.
-    keys = items * n + np.repeat(np.arange(n), counts)
-    keys.sort()
-    items = keys // n
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = items[1:] != items[:-1]
-    items = items[first]
-    rank = keys[first] - items * n
-    # Items are ascending, so a stable sort by log-prob breaks ties toward
-    # the smaller id. Sort by each rank's tie group, the first rank with an
-    # equal log-prob: keys that small take NumPy's radix sort.
-    tie = np.searchsorted(-logps, -logps).astype(np.min_scalar_type(n))
-    order = np.argsort(tie[rank], kind="stable")
-    out = np.empty(order.size, dtype=CANDIDATE_DTYPE)
-    out["item"] = items[order]
-    out["logp"] = logps[rank[order]]
-    return out
 
 
 #: `adaptive_beam` wants this many candidates per item requested.
@@ -371,21 +330,10 @@ def adaptive_beam(ctx: UserContext, params: StructureParams,
                   u: np.ndarray | None = None) -> tuple:
     """Grow the beam geometrically until enough candidates are retrieved.
 
-    Doubles B from 1 until the candidate count reaches ADAPTIVE_MULTIPLIER
-    times `target_count` or the beam covers every path. Returns
-    (candidates, B), where `candidates` is the `retrieve_candidates` array
-    at that B. `u` is the user's embedding when the caller has it.
-    """
-    if u is None:
-        u = user_embedding(ctx, params)
-    paths, logps, _, B = _adaptive_entries(u, params, mapping, target_count)
-    return _expand(paths, logps, mapping), B
-
-
-def _adaptive_entries(u: np.ndarray, params: StructureParams,
-                      mapping: ItemPathMapping, target_count: int) -> tuple:
-    """`adaptive_beam`'s final beam for the user embedding `u`: its (B, D)
-    paths, (B,) log-probs, `_entries` items and its width B.
+    Doubles B from 1 until the beam's distinct items reach
+    ADAPTIVE_MULTIPLIER times `target_count` or the beam covers every path.
+    Returns (entries, B), where `entries` is the `retrieve_candidates`
+    result at that B. `u` is the user's embedding when the caller has it.
 
     A B-path beam retrieves at most the items on the B largest paths, so
     widths whose bound falls short are skipped unscored. The widths that
@@ -396,6 +344,8 @@ def _adaptive_entries(u: np.ndarray, params: StructureParams,
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
+    if u is None:
+        u = user_embedding(ctx, params)
     cfg = params.cfg
     want = ADAPTIVE_MULTIPLIER * target_count
     sums = mapping.size_sums
@@ -404,9 +354,9 @@ def _adaptive_entries(u: np.ndarray, params: StructureParams,
         B = min(2 * B, cfg.num_paths)
     memo = _LayerMemo(u, params)
     while True:
-        paths, logps = batched_beam_search(u[None], params, B, memo)
+        paths, _ = batched_beam_search(u[None], params, B, memo)
         items, counts = _entries(paths[0], mapping)
         if B >= cfg.num_paths or (items.size >= want and (
                 counts.max() >= want or np.unique(items).size >= want)):
-            return paths[0], logps[0], items, B
+            return items, B
         B = min(2 * B, cfg.num_paths)

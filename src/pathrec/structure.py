@@ -310,11 +310,7 @@ def quartic_size_penalty(n: float) -> float:
 
 
 def penalty_value(mapping, alpha: float) -> float:
-    """alpha * sum over non-empty paths of f(|c|); `mapping` is an
-    ItemPathMapping or a path -> size dict. The sum runs in path order and
-    is exact while it stays below 2**51, every term a multiple of 1/4."""
-    sizes = (np.fromiter(mapping.values(), np.float64, len(mapping))
-             if isinstance(mapping, dict) else mapping.sizes.astype(np.float64))
-    if np.any(sizes < 0):
-        raise ValueError(f"negative path size {sizes.min():g}")
-    return alpha * float(quartic_size_penalty(sizes).sum())
+    """alpha * sum over the ItemPathMapping's non-empty paths of f(|c|). The
+    sum runs in path order and is exact while it stays below 2**51, every
+    term a multiple of 1/4."""
+    return alpha * float(quartic_size_penalty(mapping.sizes.astype(np.float64)).sum())

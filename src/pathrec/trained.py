@@ -7,10 +7,7 @@ from dataclasses import dataclass, field
 from . import retrieval
 from .em import ScoreTable
 from .reranker import SoftmaxModel, brute_force_retrieve, rerank
-from .retrieval import ItemPathMapping
-# Serving does not call these two; they stay importable here because
-# perfbench/tracing.py wraps them in this module by name.
-from .retrieval import adaptive_beam, retrieve_candidates  # noqa: F401
+from .retrieval import ItemPathMapping, adaptive_beam, retrieve_candidates
 from .structure import StructureConfig, StructureParams, UserContext
 
 
@@ -46,10 +43,9 @@ class TrainedModel:
         # the encodings of a structure query.
         u = retrieval.user_embedding(ctx, self.params)
         if adaptive:
-            items = retrieval._adaptive_entries(u, self.params, self.mapping, k)[2]
+            items, _ = adaptive_beam(ctx, self.params, self.mapping, k, u=u)
         else:
-            paths, _ = retrieval.batched_beam_search(u[None], self.params, beam_size)
-            items, _ = retrieval._entries(paths[0], self.mapping)
+            items = retrieve_candidates(ctx, self.params, self.mapping, beam_size, u=u)
         if items.size == 0:
             return []
         return rerank(items, ctx, self.model, self.params, k, u=u)

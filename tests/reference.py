@@ -15,7 +15,7 @@ from pathrec.core import (PROB_FLOOR, AffineLayer, ShapeError, affine_forward,
                           log_softmax, relu, relu_grad)
 from pathrec.em import ScoreTable
 from pathrec.reranker import sample_negatives
-from pathrec.retrieval import ADAPTIVE_MULTIPLIER, ItemPathMapping, retrieve_candidates
+from pathrec.retrieval import ADAPTIVE_MULTIPLIER, ItemPathMapping
 from pathrec.structure import (PAD_ITEM, StructureParams, _layer_forward,
                                batched_layer_log_probs, quartic_size_penalty,
                                user_embedding)
@@ -153,14 +153,27 @@ def parse_mapping(text: str) -> list:
     return assignments
 
 
+def dict_walk_candidates(ctx, params, mapping, beam_size: int) -> list:
+    """The distinct items on the top-B paths as (item, best path log-prob)
+    pairs, sorted by (-log-prob, item): one dict entry per item, walked
+    over the beam paths' `inverted` lists."""
+    best: dict = {}
+    for path, lp in beam_search(ctx, params, beam_size):
+        for item in mapping.inverted.get(path, ()):
+            if item not in best or lp > best[item]:
+                best[item] = lp
+    return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
 def adaptive_beam(ctx, params, mapping, target_count: int) -> tuple:
-    """Every width B = 1, 2, 4, ... (capped at K^D) retrieved from scratch
-    until the candidates reach ADAPTIVE_MULTIPLIER * `target_count` or the
-    beam covers every path; returns (candidates, B)."""
+    """Every width B = 1, 2, 4, ... (capped at K^D) walked from scratch
+    until its distinct items reach ADAPTIVE_MULTIPLIER * `target_count` or
+    the beam covers every path; returns (candidates, B), the candidates
+    those of `dict_walk_candidates`."""
     num_paths = params.cfg.num_paths
     B = 1
     while True:
-        candidates = retrieve_candidates(ctx, params, mapping, beam_size=B)
+        candidates = dict_walk_candidates(ctx, params, mapping, B)
         if len(candidates) >= ADAPTIVE_MULTIPLIER * target_count or B >= num_paths:
             return candidates, B
         B = min(2 * B, num_paths)

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from pathrec import em, persist
+from pathrec import em, persist, trained
+from pathrec.bench import synthetic_model
 from pathrec.retrieval import ItemPathMapping
 from pathrec.seeding import substream
 from pathrec.structure import StructureConfig
@@ -65,3 +66,22 @@ def test_every_mapping_build_goes_through_from_assignments(tmp_path, monkeypatch
     built = build(tmp_path)
     assert len(calls) == 1
     assert built.inverted == original(built.assignments).inverted
+
+
+@pytest.mark.parametrize("name, adaptive", [("retrieve_candidates", False),
+                                            ("adaptive_beam", True)])
+def test_every_structure_query_goes_through_its_traced_name(monkeypatch, name, adaptive):
+    # The traced run times index expansion and counts candidates by
+    # wrapping these names in `pathrec.trained`; a query that went around
+    # them would read as 0.
+    model = synthetic_model(CFG, 30, 1)
+    calls = []
+    original = getattr(trained, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trained, name, counted)
+    assert model.retrieve([0, 1, 2], 5, adaptive=adaptive)
+    assert len(calls) == 1

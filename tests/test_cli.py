@@ -3,8 +3,10 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import pathrec
 from pathrec.cli import cli
 from pathrec.data import synth_clusters, write_interactions_csv
-from pathrec.persist import load_checkpoint
+from pathrec.persist import TENSOR_MAGIC, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +364,26 @@ def test_corrupt_checkpoint_is_clean_error(checkpoint, tmp_path):
     result = CliRunner().invoke(cli, ["inspect", "--checkpoint", str(broken)])
     assert result.exit_code == 1
     assert "mismatch" in result.output
+
+
+@pytest.mark.parametrize("header", [(2**31,), (3, 2**31, 2**31, 4)],
+                         ids=["dims_past_end", "dims_wrap_int64"])
+def test_lying_tensor_header_is_clean_error(checkpoint, tmp_path, header):
+    # The blob's crc32 and the manifest's sha256 are both recomputed, so
+    # only the sizes in the header are wrong.
+    broken = tmp_path / "broken"
+    shutil.copytree(checkpoint, broken)
+    blob = broken / "tensors" / "item_emb.bin"
+    body = TENSOR_MAGIC + struct.pack(f"<{len(header)}I", *header)
+    blob.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    manifest = json.loads((broken / "manifest.json").read_text())
+    manifest["tensors"]["item_emb"]["sha256"] = hashlib.sha256(blob.read_bytes()).hexdigest()
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    result = CliRunner().invoke(cli, ["inspect", "--checkpoint", str(broken)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.output.strip().splitlines()
+    assert "item_emb.bin" in line
 
 
 MANIFEST_DAMAGES = {

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,13 @@ def test_tensor_detects_truncation_and_bitflip(tmp_path):
     path.write_bytes(b"WRONGMAG" + bytes(raw[8:]))
     with pytest.raises(CorruptionError):
         read_tensor(path)
+    # Headers under a right checksum whose sizes lie: dims that run past the
+    # blob's end, and dims whose product wraps int64 over an empty payload.
+    for header in ((2**20, 4, 4), (2**31,), (3, 2**31, 2**31, 4)):
+        body = TENSOR_MAGIC + struct.pack(f"<{len(header)}I", *header)
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CorruptionError):
+            read_tensor(path)
 
 
 def mapping_cfg(K, D, J):

@@ -174,7 +174,7 @@ def test_retrieve_all_items_on_one_path():
     params = random_params(cfg, num_items=6, seed=7)
     mapping = ItemPathMapping.from_assignments([((1, 2),)] * 6)
     got = retrieve_candidates(UserContext((0,)), params, mapping, beam_size=9)
-    assert [item for item, _ in got] == [0, 1, 2, 3, 4, 5]
+    assert got.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_retrieve_singleton_paths_ordered_by_probability():
@@ -185,21 +185,21 @@ def test_retrieve_singleton_paths_ordered_by_probability():
     ctx = UserContext((4,))
     got = retrieve_candidates(ctx, params, mapping, beam_size=9)
     ranked_paths = [p for p, _ in enumerate_paths(ctx, params)]
-    assert [paths[i] for i, _ in got] == ranked_paths
+    assert [paths[i] for i in got.tolist()] == ranked_paths
 
 
-def test_retrieve_deduplicates_and_uses_max_path_score():
+def test_retrieve_lists_an_item_once_per_beam_path():
+    # The candidates are the beam's index entries; the rerank keeps an item
+    # on two beam paths once.
     cfg = make_cfg(K=2, D=2, J=2)
     params = random_params(cfg, num_items=1, seed=9)
     mapping = ItemPathMapping.from_assignments([((0, 0), (1, 1))])
-    ctx = UserContext((0,))
-    got = retrieve_candidates(ctx, params, mapping, beam_size=4)
-    assert len(got) == 1
-    item, score = got[0]
-    assert item == 0
-    best = max(path_log_prob(ctx, (0, 0), params),
-               path_log_prob(ctx, (1, 1), params))
-    assert score == pytest.approx(best, rel=1e-12)
+    model = TrainedModel(cfg, params,
+                         SoftmaxModel.init_random(1, cfg.emb_dim, substream(9, "sm")),
+                         mapping, [0])
+    got = retrieve_candidates(model.context([0]), params, mapping, beam_size=4)
+    assert got.tolist() == [0, 0]
+    assert [item for item, _ in model.retrieve([0], 5, beam_size=4)] == [0]
 
 
 def test_retrieve_determinism():
@@ -212,15 +212,10 @@ def test_retrieve_determinism():
     assert a.tolist() == b.tolist()
 
 
-def dict_walk_candidates(ctx, params, mapping, beam_size):
-    """Reference expansion: one dict entry per item, best path log-prob
-    kept, sorted by (-log-prob, item)."""
-    best: dict = {}
-    for path, lp in beam_search(ctx, params, beam_size):
-        for item in mapping.inverted.get(path, ()):
-            if item not in best or lp > best[item]:
-                best[item] = lp
-    return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+def beam_entries(ctx, params, mapping, beam_size):
+    """Each beam path's `inverted` items, the paths in beam order."""
+    return [item for path, _ in beam_search(ctx, params, beam_size)
+            for item in mapping.inverted.get(path, ())]
 
 
 # Small beams over a few items, and wide ones over ten times as many,
@@ -242,10 +237,9 @@ def test_retrieve_candidates_matches_dict_walk(items_scale, max_B, K, D, J, num_
     ctx = UserContext((seed % num_items,))
     B = min(B, max_B, K**D)
     got = retrieve_candidates(ctx, params, mapping, beam_size=B)
-    want = dict_walk_candidates(ctx, params, mapping, B)
-    assert got.tolist() == want
-    assert len(got) == len(want)
-    assert [(int(item), float(lp)) for item, lp in got] == want
+    assert got.tolist() == beam_entries(ctx, params, mapping, B)
+    assert sorted(set(got.tolist())) == \
+        sorted(item for item, _ in reference.dict_walk_candidates(ctx, params, mapping, B))
 
 
 def test_beam_path_past_the_code_base_holds_no_item():
@@ -253,13 +247,14 @@ def test_beam_path_past_the_code_base_holds_no_item():
     # path (0, 2) has the code of (1, 0).
     mapping = ItemPathMapping.from_assignments([((0, 1),), ((1, 0),)])
     assert mapping.base == 2
-    got = retrieval._expand(np.array([[0, 2], [1, 0]]), np.array([-1.0, -2.0]), mapping)
-    assert got.tolist() == [(1, -2.0)]
+    items, counts = retrieval._entries(np.array([[0, 2], [1, 0]]), mapping)
+    assert items.tolist() == [1]
+    assert counts.tolist() == [0, 1]
     cfg = make_cfg(K=3, D=2, J=1)
     params = random_params(cfg, num_items=2, seed=16)
     ctx = UserContext((0,))
     assert retrieve_candidates(ctx, params, mapping, beam_size=9).tolist() == \
-        dict_walk_candidates(ctx, params, mapping, 9)
+        beam_entries(ctx, params, mapping, 9)
 
 
 def test_serving_a_loaded_checkpoint_never_builds_the_dict_index(tmp_path):
@@ -281,7 +276,7 @@ def test_adaptive_beam_small_corpus_returns_everything():
     mapping = ItemPathMapping.random_init(cfg, 10, substream(4, "mapping"))
     candidates, B = adaptive_beam(UserContext((2,)), params, mapping,
                                   target_count=10)
-    assert len(candidates) == 10
+    assert sorted(candidates.tolist()) == list(range(10))
     assert B <= cfg.num_paths
 
 
@@ -314,8 +309,8 @@ def test_adaptive_beam_counts_an_item_on_two_beam_paths_once():
     candidates, B = adaptive_beam(ctx, params, mapping, target_count=1)
     want, want_B = reference.adaptive_beam(ctx, params, mapping, 1)
     assert B == want_B == 4
-    assert candidates.tolist() == want.tolist()
-    assert sorted(candidates["item"].tolist()) == list(range(6))
+    assert candidates.tolist() == beam_entries(ctx, params, mapping, 4)
+    assert sorted(set(candidates.tolist())) == sorted(i for i, _ in want) == list(range(6))
 
 
 def test_adaptive_beam_rejects_bad_target():
@@ -428,10 +423,10 @@ def test_adaptive_beam_matches_reference(K, D, kind, per, target, tied, seed):
     got, B = adaptive_beam(ctx, params, mapping, target)
     want, want_B = reference.adaptive_beam(ctx, params, mapping, target)
     assert B == want_B
-    assert got["item"].tolist() == want["item"].tolist()
-    np.testing.assert_allclose(got["logp"], want["logp"], rtol=0, atol=1e-12)
+    assert got.tolist() == beam_entries(ctx, params, mapping, B)
+    assert sorted(set(got.tolist())) == sorted(item for item, _ in want)
     assert model.retrieve(behavior, target, adaptive=True) == \
-        rerank(want["item"], ctx, model.model, params, target)
+        rerank([item for item, _ in want], ctx, model.model, params, target)
 
 
 def same_ranking(got, want):
@@ -469,10 +464,10 @@ def test_retrieve_reranks_the_deduplicated_candidates(K, D, J, num_items, B, k,
     def reranked(candidates):
         if len(candidates) == 0:
             return []
-        return rerank(candidates["item"], ctx, model.model, params, k)
+        return rerank([item for item, _ in candidates], ctx, model.model, params, k)
 
     B = min(B, K**D)
     same_ranking(model.retrieve(behavior, k, beam_size=B),
-                 reranked(retrieve_candidates(ctx, params, mapping, beam_size=B)))
+                 reranked(reference.dict_walk_candidates(ctx, params, mapping, B)))
     same_ranking(model.retrieve(behavior, k, adaptive=True),
                  reranked(reference.adaptive_beam(ctx, params, mapping, k)[0]))

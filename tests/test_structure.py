@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathrec.core import ShapeError, softmax
+from pathrec.retrieval import ItemPathMapping
 from pathrec.seeding import substream
 from pathrec.structure import (StructureConfig, StructureParams, UserBatch,
                                UserContext, layer_distribution, multi_path_loss,
@@ -288,8 +289,8 @@ def test_parameter_count_closed_form():
 
 
 def test_penalty_value_cases():
-    assert penalty_value({}, 1.0) == 0.0
-    assert penalty_value({(0, 0): 2}, 1.0) == pytest.approx(4.0)
-    assert penalty_value({(0, 0): 3, (1, 1): 1}, 0.5) == pytest.approx(10.25)
-    with pytest.raises(ValueError):
-        penalty_value({(0, 0): -1}, 1.0)
+    assert penalty_value(ItemPathMapping.from_assignments([]), 1.0) == 0.0
+    two = ItemPathMapping.from_assignments([((0, 0),)] * 2)
+    assert penalty_value(two, 1.0) == pytest.approx(4.0)
+    three_and_one = ItemPathMapping.from_assignments([((0, 0),)] * 3 + [((1, 1),)])
+    assert penalty_value(three_and_one, 0.5) == pytest.approx(10.25)
