@@ -103,7 +103,7 @@ def cli(verbose):
 @click.option("--min-reviews", default=10, show_default=True)
 def preprocess(input_path, output_path, min_rating, min_reviews):
     """Filter an interaction CSV by rating and user activity."""
-    records, skipped = data_mod.load_interactions_csv(input_path)
+    records, skipped = _read(data_mod.load_interactions_csv, input_path)
     kept, stats = data_mod.preprocess(records, min_rating, min_reviews)
     data_mod.write_interactions_csv(output_path, kept)
     emit({"event": "preprocess", "skipped_rows": skipped, **stats})
@@ -181,7 +181,7 @@ def train(input_path, ckpt_path, seed, val_users, test_users, stats_out,
         persist.check_replaceable(ckpt_path)
     except (TypeError, ValueError, FileExistsError) as exc:   # TypeError: a mistyped value
         raise click.UsageError(str(exc))
-    records, _ = data_mod.load_interactions_csv(input_path)
+    records, _ = _read(data_mod.load_interactions_csv, input_path)
     if not records:
         raise click.ClickException("no usable interaction records")
     num_items = len(data_mod.build_item_vocab(records)[0])
@@ -224,10 +224,11 @@ def _split(records, val_users, test_users, seed):
         raise click.UsageError(str(exc))
 
 
-def _load(ckpt_path):
+def _read(read, path):
+    """`read(path)`, with a file that it cannot read as a one-line error."""
     try:
-        return persist.load_checkpoint(ckpt_path)
-    except (persist.CorruptionError, persist.MigrationError, OSError) as exc:
+        return read(path)
+    except (persist.CorruptionError, persist.MigrationError, OSError, ValueError) as exc:
         raise click.ClickException(str(exc))
 
 
@@ -247,10 +248,10 @@ def _load(ckpt_path):
 def evaluate(ckpt_path, input_path, seed, val_users, test_users, subset, k,
              method, beam_size, adaptive):
     """Evaluate retrieval quality on a deterministic user split."""
-    trained = _load(ckpt_path)
+    trained = _read(persist.load_checkpoint, ckpt_path)
     if method != "structure" and k > trained.num_items:
         raise click.UsageError(f"k={k} exceeds corpus size {trained.num_items}")
-    records, _ = data_mod.load_interactions_csv(input_path)
+    records, _ = _read(data_mod.load_interactions_csv, input_path)
     split = _split(records, val_users, test_users, seed)
     index = {item: i for i, item in enumerate(trained.item_ids)}
 
@@ -283,7 +284,7 @@ def evaluate(ckpt_path, input_path, seed, val_users, test_users, subset, k,
               type=click.Choice(["structure", "brute-force"]))
 def retrieve(ckpt_path, user_seq, k, beam_size, method):
     """Retrieve top-k items for one behavior sequence."""
-    trained = _load(ckpt_path)
+    trained = _read(persist.load_checkpoint, ckpt_path)
     index = {item: i for i, item in enumerate(trained.item_ids)}
     try:
         raw = [int(t) for t in user_seq.split(",") if t.strip()]
@@ -323,7 +324,7 @@ def bench(ckpt_path, synthetic_items, profile, queries, k, beam_size, seed):
         with _allocating(cfg, f"{synthetic_items} synthetic items"):
             trained = bench_mod.synthetic_model(cfg, synthetic_items, seed)
     else:
-        trained = _load(ckpt_path)
+        trained = _read(persist.load_checkpoint, ckpt_path)
     if k > trained.num_items:
         raise click.UsageError(f"k={k} exceeds corpus size {trained.num_items}")
     try:
@@ -340,7 +341,7 @@ def inspect(ckpt_path):
     """Summarize a checkpoint: config, sizes, path-size distribution, and
     the wall seconds its load took."""
     start = time.perf_counter()
-    trained = _load(ckpt_path)
+    trained = _read(persist.load_checkpoint, ckpt_path)
     load_s = time.perf_counter() - start
     sizes = trained.mapping.sizes
     emit({

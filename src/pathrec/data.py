@@ -13,6 +13,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -66,18 +67,31 @@ class EvalSplit:
 
 
 def load_interactions_csv(path) -> tuple:
-    """Parse a headered CSV; malformed rows are skipped and counted."""
+    """Parse a headered UTF-8 CSV; malformed rows are skipped and counted.
+    Bytes not UTF-8 or a row csv cannot read raise ValueError naming the line."""
     records = []
     skipped = 0
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            try:
-                records.append(InteractionRecord(
-                    int(row["user_id"]), int(row["item_id"]),
-                    float(row["rating"]), int(row["timestamp"])))
-            except (KeyError, TypeError, ValueError):
-                skipped += 1
+    # The error's line: DictReader's own count lags a failed row, and the
+    # stream decodes ahead of the rows, so a bad byte's line is found anew.
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            for row in reader:
+                try:
+                    records.append(InteractionRecord(
+                        int(row["user_id"]), int(row["item_id"]),
+                        float(row["rating"]), int(row["timestamp"])))
+                except (KeyError, TypeError, ValueError):
+                    skipped += 1
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode()
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8") from None
     if skipped:
         log.warning("skipped %d malformed rows in %s", skipped, path)
     return records, skipped

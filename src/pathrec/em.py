@@ -110,7 +110,7 @@ class ScoreTable:
             raise ValueError(f"negative path score {scores.min()}")
         if paths.size and not 0 <= paths.min() <= paths.max() < self.num_nodes:
             raise ValueError(f"path nodes must lie in [0, {self.num_nodes})")
-        codes = path_codes(paths.reshape(-1, self.depth), self.num_nodes).reshape(scores.shape)
+        codes = path_codes(paths, self.num_nodes)
         # A path observed twice at once: its copies' scores sum, in order,
         # at the first copy, and the later copies drop out as code -1.
         ranked = np.sort(codes, axis=1)
@@ -227,15 +227,10 @@ def coordinate_descent_assign(table: ScoreTable, num_items: int,
     fill = table.fill
     cold, warm = np.flatnonzero(fill == 0), np.flatnonzero(fill)
     # The new mapping's (V, J) path codes, each item's in the order stored;
-    # a cold item keeps its previous assignment, whose codes come in path
-    # order, which the index does not see.
+    # a cold item keeps its previous paths in their stored order.
     codes = np.empty((num_items, J), dtype=np.int64)
     if prev_mapping is not None:
-        assignments = list(prev_mapping.assignments)
-        codes[cold] = path_codes(prev_mapping.item_paths()[cold].reshape(-1, depth),
-                                 K).reshape(-1, J)
-    else:
-        assignments = [None] * num_items
+        codes[cold] = path_codes(prev_mapping.paths[cold], K)
     # Random draws, in item order: J distinct sorted paths for a cold item
     # with no previous mapping, padding for a warm item short of J paths.
     pads: dict = {}
@@ -254,8 +249,8 @@ def coordinate_descent_assign(table: ScoreTable, num_items: int,
                 chosen.add(_random_path(K, depth, rng))
             codes[v] = sorted(chosen)
     if cold.size:
-        log.warning("%d items have empty score tables; keeping previous/random paths",
-                    cold.size)
+        log.info("%d items have empty score tables; keeping previous/random paths",
+                 cold.size)
 
     # Compact ids of the candidate paths, in code order, so that they break
     # ties as paths do. The other paths' sizes never enter a gain.
@@ -325,11 +320,7 @@ def coordinate_descent_assign(table: ScoreTable, num_items: int,
             assign[i] = (chosen, chosen_values)
     if rows:
         codes[warm] = candidates[np.array([ids for ids, _ in assign], dtype=np.intp)]
-    nodes = _path_nodes(codes, K, depth)
-    fresh = warm if prev_mapping is not None else np.arange(num_items)
-    for v, row in zip(fresh.tolist(), nodes[fresh].tolist()):
-        assignments[v] = tuple(map(tuple, row))
-    return ItemPathMapping.from_assignments(assignments, paths=nodes)
+    return ItemPathMapping.from_assignments(_path_nodes(codes, K, depth))
 
 
 def em_epoch(samples, params: StructureParams, model: SoftmaxModel,
@@ -388,9 +379,9 @@ def em_epoch(samples, params: StructureParams, model: SoftmaxModel,
     sizes = new_mapping.sizes
     hist_sizes, hist_counts = np.unique(sizes, return_counts=True)
     num_items = mapping.num_items
-    # Each item holds J distinct paths, so equal sorted paths are equal sets.
-    churn = float(np.any(mapping.item_paths() != new_mapping.item_paths(),
-                         axis=(1, 2)).mean()) if num_items else 0.0
+    # Each item holds J distinct paths, so equal sorted codes are equal sets.
+    held = [np.sort(path_codes(m.paths, cfg.num_nodes), axis=1) for m in (mapping, new_mapping)]
+    churn = float(np.any(held[0] != held[1], axis=1).mean()) if num_items else 0.0
     stats = {
         "epoch": epoch_index,
         "mean_loss": float(np.mean(losses)) if losses else 0.0,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import shutil
@@ -77,17 +76,15 @@ _WRITE_BLOCK = 1 << 14
 
 def write_mapping(path, mapping: ItemPathMapping) -> None:
     """Write `mapping` in the `read_mapping` format."""
-    rows = mapping.assignments
-    chain = itertools.chain.from_iterable
-    J, D = (len(rows[0]), len(rows[0][0])) if rows else (0, 0)
+    V, J, D = mapping.paths.shape
     row_format = "%d\t" + ";".join(["-".join(["%d"] * D)] * J) + "\n"
     with open(path, "wb") as f:
         # A block of rows is one % format over a flat tuple of its ints.
-        for lo in range(0, len(rows), _WRITE_BLOCK):
-            block = rows[lo:lo + _WRITE_BLOCK]
-            values = tuple(chain(chain(((v,), *paths)) for v, paths in enumerate(block, lo)))
-            f.write((row_format * len(block) % values).encode())
-        if not rows:
+        for lo in range(0, V, _WRITE_BLOCK):
+            block = mapping.paths[lo:lo + _WRITE_BLOCK].reshape(-1, J * D)
+            values = np.column_stack([np.arange(lo, lo + len(block)), block])
+            f.write((row_format * len(block) % tuple(values.ravel().tolist())).encode())
+        if not V:
             f.write(b"\n")
 
 
@@ -142,12 +139,12 @@ def read_mapping(path, cfg: StructureConfig) -> ItemPathMapping:
         raise CorruptionError(f"{path}: node {top} outside [0, {K})")
     paths = numbers[:, 1:].astype(np.min_scalar_type(top)).reshape(-1, J, D)
     del numbers
-    codes = np.sort(path_codes(paths.reshape(-1, D), K).reshape(-1, J), axis=1)
+    codes = np.sort(path_codes(paths, K), axis=1)
     twice = np.flatnonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1))
     if twice.size:
         raise CorruptionError(f"{path}: item {twice[0]} holds a path twice")
     del codes
-    return ItemPathMapping.from_assignments(paths=paths)
+    return ItemPathMapping.from_assignments(paths)
 
 
 def check_replaceable(directory) -> None:

@@ -18,42 +18,38 @@ from .structure import batched_layer_log_probs, user_embedding
 class ItemPathMapping:
     """The item -> J paths assignment and its path -> items inverted index.
 
-    The index is in CSR form over the non-empty paths. A path's code is
-    `path_codes` in base `base`, one past the largest node assigned, so
-    code order is path order. `codes` holds the distinct codes ascending;
-    path `codes[p]` holds the items `items[indptr[p]:indptr[p + 1]]`, in
-    item order, an item listed once per time it holds the path. `inverted`
-    and `path_sizes` are dict views derived from these arrays on first
-    read, kept while the benchmark's checks read them; serving never does.
+    `paths` holds each item's paths in stored order, in the smallest
+    unsigned dtype that holds the largest node; `assignments` lists them
+    as tuples, one shared tuple per distinct path. The index is in CSR
+    form over the non-empty paths. A path's code is `path_codes` in base
+    `base`, one past the largest node, so code order is path order. `codes`
+    holds the distinct codes ascending; path `codes[p]` holds the items
+    `items[indptr[p]:indptr[p + 1]]`, in item order, an item listed once
+    per time it holds the path. `inverted` and `path_sizes` are dict views
+    derived on first read, kept while the benchmark's checks read them.
     """
 
     assignments: list          # item id -> tuple of J PathIds
+    paths: np.ndarray          # (V, J, D) nodes, each item's in stored order
     base: int                  # the code base
     codes: np.ndarray          # (P,) distinct path codes, ascending
     indptr: np.ndarray         # (P + 1,) each path's slice of `items`
     items: np.ndarray          # (V * J,) item ids, path by path
 
     @classmethod
-    def from_assignments(cls, assignments=None,
-                         paths: np.ndarray | None = None) -> "ItemPathMapping":
-        """The mapping with its index built, of one of two inputs:
-        `assignments`, per item a tuple of J tuples of D ints, stored as
-        given; or `paths`, a (V, J, D) int array, whose items on one path
-        then share one tuple of it. Given both, `assignments` is stored as
-        given and the index is built from `paths`, which holds each item's
-        same J paths in any order. Nodes are in [0, K) for a K**D below
-        2**63.
-        """
+    def from_assignments(cls, paths) -> "ItemPathMapping":
+        """The mapping of `paths`, per item J paths of D nodes in [0, K) for
+        a K**D below 2**63, stored in the order given: a (V, J, D) int array
+        or what `np.asarray` makes one of, such as a list of J-tuples of
+        D-tuples. With no items, `paths` is (0, 0, 0)."""
+        paths = np.asarray(paths) if len(paths) else np.zeros((0, 0, 0), np.uint8)
+        top = int(paths.max(initial=0))
+        paths = paths.astype(np.min_scalar_type(top), copy=False)
         # Each temporary is freed once used: this build sets the memory
         # peak of a checkpoint load.
-        if paths is None:
-            assignments = list(assignments)
-            J, D = (len(assignments[0]), len(assignments[0][0])) if assignments else (0, 0)
-            paths = np.array(assignments, dtype=np.int64).reshape(len(assignments), J, D)
         V, J, D = paths.shape
         flat = paths.reshape(V * J, D)
-        base = int(flat.max(initial=0)) + 1
-        codes = path_codes(flat, base)
+        codes = path_codes(flat, top + 1)
         # A stable sort keeps each path's items in item order; codes that
         # fit 16 bits take NumPy's radix sort.
         order = np.argsort(codes.astype(np.min_scalar_type(codes.max(initial=0))),
@@ -62,18 +58,17 @@ class ItemPathMapping:
         starts = np.flatnonzero(np.diff(codes, prepend=-1))
         codes = codes[starts]
         indptr = np.append(starts, order.size)
-        if assignments is None:
-            # One tuple per distinct path, from the nodes of its first entry.
-            shared = np.fromiter(zip(*[_scalars(flat[order[starts]].ravel())] * D),
-                                 object, starts.size)
-            del starts
-            path_of = np.empty(order.size, dtype=np.intp)
-            path_of[order] = np.repeat(np.arange(codes.size), np.diff(indptr))
-            shared = shared[path_of]
-            del path_of
-            assignments = list(zip(*[_scalars(shared)] * J))
-            del shared
-        return cls(assignments, base, codes, indptr, order // max(J, 1))
+        # One tuple per distinct path, from the nodes of its first entry.
+        shared = np.fromiter(zip(*[_scalars(flat[order[starts]].ravel())] * D),
+                             object, starts.size)
+        del starts
+        path_of = np.empty(order.size, dtype=np.intp)
+        path_of[order] = np.repeat(np.arange(codes.size), np.diff(indptr))
+        shared = shared[path_of]
+        del path_of
+        assignments = list(zip(*[_scalars(shared)] * J))
+        del shared
+        return cls(assignments, paths, top + 1, codes, indptr, order // max(J, 1))
 
     @property
     def sizes(self) -> np.ndarray:
@@ -89,30 +84,17 @@ class ItemPathMapping:
         np.cumsum(np.sort(self.sizes)[::-1], out=sums[1:])
         return sums
 
-    def item_paths(self) -> np.ndarray:
-        """Each item's paths as a (V, J, D) node array, in path order."""
-        V, D = self.num_items, len(self.assignments[0][0]) if self.assignments else 0
-        nodes = self.codes[:, None] // self.base ** np.arange(D - 1, -1, -1) % self.base
-        by_item = np.argsort(self.items, kind="stable")
-        return np.repeat(nodes, self.sizes, axis=0)[by_item].reshape(
-            V, self.items.size // max(V, 1), D)
-
     @functools.cached_property
     def inverted(self) -> dict:
         """Non-empty path -> its items, an ascending tuple, derived from the
         CSR arrays. The keys are the assignments' own tuples, listed by path
         size and then in path order."""
-        V, P = self.num_items, self.codes.size
-        if not P:
+        if not self.codes.size:
             return {}
-        J = self.items.size // V
         # A path's key is the tuple that its first item holds at its code.
-        held = np.fromiter(itertools.chain.from_iterable(self.assignments), object,
-                           V * J).reshape(V, J)[self.items[self.indptr[:-1]]]
-        nodes = np.array(held.ravel().tolist(), dtype=np.int64).reshape(P * J, -1)
-        at = path_codes(nodes, self.base).reshape(P, J) == self.codes[:, None]
-        keys = held[np.arange(P), at.argmax(axis=1)]
-        del held, nodes, at
+        first = self.items[self.indptr[:-1]]
+        at = (path_codes(self.paths[first], self.base) == self.codes[:, None]).argmax(1)
+        keys = [self.assignments[v][j] for v, j in zip(first.tolist(), at.tolist())]
         # Cut the paths' items into tuples a size at a time, paths listed by
         # size: zip builds tuples of one size with no Python-level step per
         # tuple. One int object per item is shared by all of its paths.
@@ -122,12 +104,12 @@ class ItemPathMapping:
         grouped = sizes[by_size]
         take = np.repeat(self.indptr[1:][by_size] - np.cumsum(grouped), grouped)
         take += np.arange(take.size)
-        entries = _scalars(np.arange(V, dtype=object)[self.items[take]])
+        entries = _scalars(np.arange(self.num_items, dtype=object)[self.items[take]])
         del take
         items: list = []
         for size, n in zip(*np.unique(grouped, return_counts=True)):
             items += itertools.islice(zip(*[entries] * size), n)
-        return dict(zip(_scalars(keys[by_size]), items))
+        return dict(zip(map(keys.__getitem__, by_size.tolist()), items))
 
     @functools.cached_property
     def path_sizes(self) -> dict:
@@ -139,11 +121,10 @@ class ItemPathMapping:
                     rng: np.random.Generator) -> "ItemPathMapping":
         """J distinct random paths per item, in ascending order."""
         J, D, K = cfg.paths_per_item, cfg.depth, cfg.num_nodes
-        draw = rng.integers(0, K, size=(num_items * J, D))
+        draw = rng.integers(0, K, size=(num_items * J, D)).astype(np.min_scalar_type(K - 1))
         codes = path_codes(draw, K).reshape(num_items, J)
         order = np.argsort(codes, axis=1)
-        paths = draw.astype(np.min_scalar_type(K - 1)).reshape(num_items, J, D)[
-            np.arange(num_items)[:, None], order]
+        paths = draw.reshape(num_items, J, D)[np.arange(num_items)[:, None], order]
         codes = np.take_along_axis(codes, order, axis=1)
         del draw, order
         # Items that drew a path twice redraw, one at a time in item order.
@@ -153,20 +134,21 @@ class ItemPathMapping:
                 chosen.add(tuple(rng.integers(0, K, size=D).tolist()))
             paths[v] = sorted(chosen)
         del codes
-        return cls.from_assignments(paths=paths)
+        return cls.from_assignments(paths)
 
     @property
     def num_items(self) -> int:
-        return len(self.assignments)
+        return len(self.paths)
 
 
 def path_codes(paths: np.ndarray, base: int) -> np.ndarray:
-    """The base-`base` integer code of each row of `paths`, nodes in
-    [0, base): for fixed-length paths, code order is lexicographic order."""
-    codes = np.zeros(paths.shape[0], dtype=np.int64)
-    for d in range(paths.shape[1]):
+    """The base-`base` integer code of each path along the last axis of
+    `paths`, nodes in [0, base): for fixed-length paths, code order is
+    lexicographic order."""
+    codes = np.zeros(paths.shape[:-1], dtype=np.int64)
+    for d in range(paths.shape[-1]):
         codes *= base
-        codes += paths[:, d]
+        codes += paths[..., d]
     return codes
 
 

@@ -7,6 +7,7 @@ comparing the two does not compare a function with itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -137,6 +138,21 @@ def mapping_text(assignments) -> str:
     lines = [f"{item}\t" + ";".join("-".join(map(str, p)) for p in paths)
              for item, paths in enumerate(assignments)]
     return "\n".join(lines) + "\n"
+
+
+def mapping_bytes(assignments) -> bytes:
+    """A mapping file's bytes, formatted a block of rows at a time from the
+    per-item tuples: one % format over a flat tuple of each block's ints."""
+    chain = itertools.chain.from_iterable
+    rows = list(assignments)
+    J, D = (len(rows[0]), len(rows[0][0])) if rows else (0, 0)
+    row_format = "%d\t" + ";".join(["-".join(["%d"] * D)] * J) + "\n"
+    out = b""
+    for lo in range(0, len(rows), 1 << 14):
+        block = rows[lo:lo + (1 << 14)]
+        values = tuple(chain(chain(((v,), *paths)) for v, paths in enumerate(block, lo)))
+        out += (row_format * len(block) % values).encode()
+    return out if rows else b"\n"
 
 
 def parse_mapping(text: str) -> list:

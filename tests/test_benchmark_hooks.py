@@ -1,6 +1,7 @@
 """The benchmark's traced run wraps program functions by name; each must
 still be where it looks."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,18 @@ def test_benchmark_selftest_passes():
     result = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=REPO,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_benchmark_smoke_run():
+    # A short traced run of one workload reads the trained and loaded
+    # models as the benchmark's checks do: the mapping's tuples and dict
+    # views, and the score table's dict view.
+    result = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "dense_paths",
+                             "--seconds", "1", "--trace", "1"], cwd=REPO,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
+    last = json.loads(result.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0 and last["attempted"] > 0
 
 
 def test_every_traced_name_resolves(monkeypatch):

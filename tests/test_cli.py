@@ -298,6 +298,33 @@ def test_retrieve_brute_force_k_exceeding_corpus_is_usage_error(corpus60, tmp_pa
     assert "exceeds corpus size 60" in result.output
 
 
+CSV_HEAD = b"user_id,item_id,rating,timestamp\n" + b"1,2,5.0,1\n" * 2000
+BAD_CSVS = {
+    # Line 2002 holds a byte that is not UTF-8, some 20 kB in: the file is
+    # decoded in chunks, ahead of the rows read.
+    "not_utf8": (CSV_HEAD + b"1,\xff3,5.0,2\n1,4,5.0,3\n", "line 2002: not UTF-8"),
+    # Line 2002 opens a quoted field longer than the csv module's limit.
+    "long_field": (CSV_HEAD + b"1,\"" + b"7" * 131_073 + b"\",5.0,3\n",
+                   "line 2002: field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CSVS))
+@pytest.mark.parametrize("command", ["preprocess", "train", "evaluate"])
+def test_unreadable_csv_is_one_line_error(checkpoint, tmp_path, command, bad):
+    raw, message = BAD_CSVS[bad]
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(raw)
+    args = {"preprocess": ["--output", str(tmp_path / "out.csv")],
+            "train": ["--output", str(tmp_path / "ck")],
+            "evaluate": ["--checkpoint", str(checkpoint)]}[command]
+    result = CliRunner().invoke(cli, [command, "--input", str(path)] + args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [f"Error: {path}: {message}"]
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "ck").exists()
+
+
 def test_retrieve_rejects_bad_sequence(checkpoint):
     result = CliRunner().invoke(cli, ["retrieve", "--checkpoint", str(checkpoint),
                                       "--user-seq", "1,x,3"])

@@ -314,6 +314,9 @@ def test_cd_cold_items_keep_previous_stored_order():
                                         substream(2, "cd"), prev_mapping=prev)
     assert mapping.assignments[1] == (C, A)
     assert mapping.assignments[0] == (C, B)
+    # The node array keeps the same order, in the smallest unsigned dtype.
+    assert mapping.paths.tolist() == [[list(C), list(B)], [list(C), list(A)]]
+    assert mapping.paths.dtype == np.uint8
 
 
 def test_cd_equal_gain_at_the_exit_bound_goes_to_the_smaller_path():

@@ -103,6 +103,30 @@ def test_mapping_text_format(tmp_path):
     assert back.path_sizes == mapping.path_sizes
 
 
+def test_read_mapping_keeps_each_rows_path_order(tmp_path):
+    # Row 0 lists its paths against path order, row 1 with it; the node
+    # array keeps both as written, in the smallest unsigned dtype.
+    path = tmp_path / "mapping.tsv"
+    path.write_text("0\t2-2;0-1\n1\t0-0;1-0\n")
+    mapping = read_mapping(path, mapping_cfg(3, 2, 2))
+    assert mapping.paths.tolist() == [[[2, 2], [0, 1]], [[0, 0], [1, 0]]]
+    assert mapping.paths.dtype == np.uint8
+    assert mapping.assignments == [((2, 2), (0, 1)), ((0, 0), (1, 0))]
+
+
+@pytest.mark.parametrize("V, J, D, top", [(0, 2, 2, 3), (1, 1, 1, 0), (37, 1, 3, 7),
+                                          (50, 3, 1, 999), (20_000, 2, 2, 300)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_write_mapping_matches_tuple_formatter(tmp_path, V, J, D, top, seed):
+    # The array formatter writes the bytes that formatting the per-item
+    # tuples writes, across its blocks of rows and at every node width.
+    rng = np.random.default_rng(seed)
+    paths = rng.integers(0, top + 1, size=(V, J, D))
+    assignments = [tuple(map(tuple, row)) for row in paths.tolist()]
+    write_mapping(tmp_path / "mapping.tsv", ItemPathMapping.from_assignments(paths))
+    assert (tmp_path / "mapping.tsv").read_bytes() == reference.mapping_bytes(assignments)
+
+
 def test_mapping_rows_out_of_order_are_corruption(tmp_path):
     path = tmp_path / "mapping.tsv"
     path.write_text("0\t0-1\n2\t1-1\n")

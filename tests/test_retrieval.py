@@ -64,6 +64,11 @@ def test_index_matches_per_item_oracle(assignments):
     mapping = ItemPathMapping.from_assignments(assignments)
     want = reference.inverted_index(assignments)
     assert mapping.assignments == assignments
+    # The node array holds each item's paths as given, in the smallest
+    # unsigned dtype that holds the largest node.
+    assert mapping.paths.tolist() == [list(map(list, paths)) for paths in assignments]
+    assert mapping.paths.dtype == np.min_scalar_type(mapping.paths.max(initial=0))
+    assert assignments or mapping.paths.shape == (0, 0, 0)
     # The CSR arrays: one code per distinct path, ascending in path order,
     # and each path's slice holding its items in item order.
     paths = sorted(want)
@@ -83,16 +88,33 @@ def test_index_matches_per_item_oracle(assignments):
     assert all(type(items) is tuple for items in mapping.inverted.values())
 
 
-@pytest.mark.parametrize("K, D, J", [(2, 1, 2), (3, 2, 9), (3, 2, 2), (100, 3, 3)])
+@pytest.mark.parametrize("K, D, J", [(2, 1, 2), (3, 2, 9), (3, 2, 2), (100, 3, 3),
+                                     (300, 2, 3)])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_random_init_matches_per_item_oracle(K, D, J, seed):
     cfg = make_cfg(K=K, D=D, J=J)
     rng, ref_rng = substream(seed, "mapping"), substream(seed, "mapping")
     mapping = ItemPathMapping.random_init(cfg, 40, rng)
-    assert mapping.assignments == reference.random_assignments(cfg, 40, ref_rng)
+    want = reference.random_assignments(cfg, 40, ref_rng)
+    assert mapping.assignments == want
+    assert mapping.paths.tolist() == [list(map(list, paths)) for paths in want]
+    assert mapping.paths.dtype == np.min_scalar_type(mapping.paths.max())
     # The generator is left where the per-item redraws leave it.
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
     assert mapping.inverted == ItemPathMapping.from_assignments(mapping.assignments).inverted
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
+@pytest.mark.parametrize("top, dtype", [(3, np.uint8), (255, np.uint8), (256, np.uint16),
+                                        (70_000, np.uint32)])
+def test_paths_keep_stored_order_in_the_smallest_dtype(as_array, top, dtype):
+    assignments = [((top, 1), (0, 2)), ((1, 0), (0, 0)), ((0, 2), (top, 1))]
+    given_paths = np.array(assignments, dtype=np.int64) if as_array else assignments
+    mapping = ItemPathMapping.from_assignments(given_paths)
+    assert mapping.paths.tolist() == [list(map(list, row)) for row in assignments]
+    assert mapping.paths.dtype == dtype
+    assert mapping.assignments == assignments
+    assert mapping.base == top + 1
 
 
 @pytest.mark.parametrize("reread", [False, True], ids=["random_init", "read_mapping"])
